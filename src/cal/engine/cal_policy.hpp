@@ -121,8 +121,6 @@ class CalPolicy {
     }
   }
 
-  bool cancelled() const { return false; }
-
   template <typename Emit>
   void expand(const Node& node, std::size_t /*depth*/,
               const std::vector<Label>& /*prefix*/, Emit&& emit) {

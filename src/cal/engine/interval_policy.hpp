@@ -77,7 +77,6 @@ class IntervalPolicy {
   }
 
   void on_enter(const Node&, std::size_t) {}
-  bool cancelled() const { return false; }
 
   template <typename Emit>
   void expand(const Node& node, std::size_t /*depth*/,

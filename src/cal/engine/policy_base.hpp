@@ -1,6 +1,7 @@
-// Shared plumbing of the checker policies (engine/{cal,lin,interval}_policy).
+// Shared plumbing of the engine policies (engine/{cal,lin,interval}_policy
+// and the explorer's policy in sched/explorer.cpp).
 //
-// Each checker policy is a template over `bool kShared`: the false
+// Each of these policies is a template over `bool kShared`: the false
 // instantiation is what the sequential driver runs (plain counters, the
 // node-based StepMemo), the true instantiation is safe to share across the
 // parallel driver's workers (relaxed atomic counters, the striped-lock
@@ -35,6 +36,17 @@ using Counter =
 inline void bump(std::size_t& c) noexcept { ++c; }
 inline void bump(std::atomic<std::size_t>& c) noexcept {
   c.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Raises a high-water mark to `value`.
+inline void raise_to(std::size_t& c, std::size_t value) noexcept {
+  if (value > c) c = value;
+}
+inline void raise_to(std::atomic<std::size_t>& c, std::size_t value) noexcept {
+  std::size_t seen = c.load(std::memory_order_relaxed);
+  while (value > seen &&
+         !c.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+  }
 }
 
 inline std::size_t read_counter(const std::size_t& c) noexcept { return c; }

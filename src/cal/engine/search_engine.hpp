@@ -15,11 +15,11 @@
 //   struct Policy {
 //     struct Node;                  // copyable (the parallel driver forks)
 //     struct Label;                 // one witness step (copyable)
+//     using Report = ...;           // optional: what emit.report() files
 //     std::vector<Node> roots();    // search entry points, tried in order
 //     bool is_goal(const Node&);
 //     void encode(const Node&, NodeKey& out);     // dedup key (out.clear()!)
 //     void on_enter(const Node&, std::size_t depth);   // pre-dedup hook
-//     bool cancelled() const;       // policy-side early stop
 //     template <typename Emit>
 //     void expand(const Node&, std::size_t depth,
 //                 const std::vector<Label>& prefix, Emit&& emit);
@@ -27,11 +27,13 @@
 //
 // expand() calls emit(Node&&, Label&&) once per successor; the driver
 // *recurses inside emit* and returns false when expansion should stop
-// (goal found / cancelled), so successor generation and recursion
+// (goal found / cap / stop), so successor generation and recursion
 // interleave exactly as in a hand-written DFS — which is what keeps
 // witnesses byte-identical to the pre-engine checkers. `prefix` is the
 // label path from this node's root (the explorer records violation
-// schedules from it; checkers ignore it).
+// schedules from it; checkers ignore it). In collect mode, a successor the
+// policy does not enter can be filed as emit.report(Report&&, bool stop)
+// (the explorer's violations); `stop` ends the search at its place.
 //
 // Drivers
 // -------
@@ -42,7 +44,11 @@
 //     SharedVisitedSet for cross-worker dedup, cooperative cancellation
 //     through an atomic flag once a goal is published (accept mode) or the
 //     cap trips. Collect mode serializes sink calls under a mutex and does
-//     not cancel on goals.
+//     not cancel on goals. Each forked task carries its *rank*, its place
+//     in the sequential DFS order; a stopping report cancels only work
+//     ranked after it, and reports() are returned in rank order up to the
+//     lowest-ranked stop — equal to the sequential reports whenever dedup
+//     is off. Accept mode keeps its first-published witness.
 //
 // Node-entry ordering (load-bearing for drop-in compatibility):
 //   accept mode:  cancelled? → goal? → cap? → dedup insert → expand
@@ -55,8 +61,10 @@
 //      sinks — their successors, if any, are not explored).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -111,12 +119,30 @@ void fill_policy_stats(Policy& policy, SearchStats& stats) {
   }
 }
 
+/// The policy's Report type, or a placeholder for policies that file none.
+template <typename Policy>
+struct ReportOf {
+  struct type {};
+};
+template <typename Policy>
+  requires requires { typename Policy::Report; }
+struct ReportOf<Policy> {
+  using type = typename Policy::Report;
+};
+
+/// Collect mode's `emit`: a call enters a successor, report() files one.
+template <typename Enter, typename File>
+struct Emitter : Enter {
+  File report;
+};
+
 /// Single-threaded driver. One instance runs one search.
 template <typename Policy>
 class SequentialSearch {
  public:
   using Node = typename Policy::Node;
   using Label = typename Policy::Label;
+  using Report = typename ReportOf<Policy>::type;
 
   SequentialSearch(Policy& policy, const SearchOptions& options)
       : policy_(policy), options_(options), visited_(options.exact_visited) {}
@@ -144,6 +170,10 @@ class SequentialSearch {
   }
 
   [[nodiscard]] std::vector<Label>&& witness() { return std::move(prefix_); }
+
+  /// Collect mode: the filed reports, in DFS order, ending at the first
+  /// stopping one.
+  [[nodiscard]] std::vector<Report>&& reports() { return std::move(reports_); }
 
  private:
   SearchStats finish() {
@@ -177,7 +207,6 @@ class SequentialSearch {
   }
 
   bool dfs_accept(const Node& node, std::size_t depth) {
-    if (policy_.cancelled()) return false;
     if (depth > stats_.max_depth) stats_.max_depth = depth;
     policy_.on_enter(node, depth);
     if (policy_.is_goal(node)) return true;
@@ -189,19 +218,20 @@ class SequentialSearch {
                      prefix_.push_back(std::move(label));
                      found = dfs_accept(next, depth + 1);
                      if (!found) prefix_.pop_back();
-                     return !found && !policy_.cancelled();
+                     return !found;
                    });
     return found;
   }
 
+  /// Collect mode is over: a stop was reported, or the cap tripped.
+  /// Exhaustion is sticky, as in the parallel driver: the count can never
+  /// come back under the cap, and policy-side work counters (e.g. the
+  /// explorer's transitions) freeze where the pre-engine explorers froze.
+  [[nodiscard]] bool halted() const { return stopped_ || stats_.exhausted; }
+
   template <typename Sink>
   void dfs_collect(const Node& node, std::size_t depth, Sink& sink) {
-    // Exhaustion is sticky in collect mode, as in the parallel driver
-    // (whose cancelled() folds it in): once the cap trips, nothing further
-    // is expanded — the count can never come back under the cap, and
-    // policy-side work counters (e.g. the explorer's transitions) should
-    // freeze where the pre-engine explorers froze them.
-    if (policy_.cancelled() || stats_.exhausted) return;
+    if (halted()) return;
     if (depth > stats_.max_depth) stats_.max_depth = depth;
     policy_.on_enter(node, depth);
     if (at_cap()) return;
@@ -212,12 +242,17 @@ class SequentialSearch {
       return;
     }
     policy_.expand(node, depth, prefix_,
-                   [&](Node&& next, Label&& label) -> bool {
-                     prefix_.push_back(std::move(label));
-                     dfs_collect(next, depth + 1, sink);
-                     prefix_.pop_back();
-                     return !policy_.cancelled() && !stats_.exhausted;
-                   });
+                   Emitter{[&](Node&& next, Label&& label) -> bool {
+                             prefix_.push_back(std::move(label));
+                             dfs_collect(next, depth + 1, sink);
+                             prefix_.pop_back();
+                             return !halted();
+                           },
+                           [&](Report&& report, bool stop) -> bool {
+                             reports_.push_back(std::move(report));
+                             if (stop) stopped_ = true;
+                             return !halted();
+                           }});
   }
 
   Policy& policy_;
@@ -227,6 +262,8 @@ class SequentialSearch {
   std::vector<Label> prefix_;
   NodeKey scratch_;
   std::size_t entered_ = 0;  // nodes entered; the count when dedup is off
+  std::vector<Report> reports_;
+  bool stopped_ = false;  // a stopping report was filed
 };
 
 /// Work-stealing parallel driver. The policy is shared by all workers, so
@@ -238,6 +275,7 @@ class ParallelSearch {
  public:
   using Node = typename Policy::Node;
   using Label = typename Policy::Label;
+  using Report = typename ReportOf<Policy>::type;
 
   /// Subtrees shallower than this are forked as tasks; deeper ones run
   /// inline. Depth 2 saturates tens of workers on realistic branching
@@ -252,7 +290,7 @@ class ParallelSearch {
         visited_(options.exact_visited) {}
 
   SearchStats run() {
-    drive([this](Node&& root, std::vector<Label>&& prefix) {
+    drive([this](Node&& root, std::vector<Label>&& prefix, std::size_t) {
       dfs_accept(std::move(root), 0, prefix);
     });
     SearchStats stats = finish();
@@ -262,22 +300,58 @@ class ParallelSearch {
 
   template <typename Sink>
   SearchStats run_collect(Sink&& sink) {
-    drive([this, &sink](Node&& root, std::vector<Label>&& prefix) {
-      dfs_collect(std::move(root), 0, prefix, sink);
+    drive([this, &sink](Node&& root, std::vector<Label>&& prefix,
+                        std::size_t index) {
+      const Rank rank = static_cast<Rank>(index + 1) << kRankShift;
+      dfs_collect(std::move(root), 0, prefix, rank, sink);
     });
     return finish();
   }
 
   [[nodiscard]] std::vector<Label>&& witness() { return std::move(witness_); }
 
+  /// Collect mode: the filed reports in rank (= sequential DFS) order,
+  /// ending at the lowest-ranked stopping one.
+  [[nodiscard]] std::vector<Report> reports() {
+    std::stable_sort(reports_.begin(), reports_.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    const Rank stop = stop_rank_.load(std::memory_order_relaxed);
+    std::vector<Report> out;
+    for (auto& [rank, report] : reports_) {
+      if (rank > stop) break;
+      out.push_back(std::move(report));
+    }
+    return out;
+  }
+
  private:
+  /// A node's place in sequential DFS order: its root's index, then its
+  /// child ordinal at each level down to kForkDepth, each field + 1 so a
+  /// node ranks before its descendants. Deeper nodes share the rank of
+  /// their forked ancestor, whose task walks them in DFS order.
+  using Rank = std::uint64_t;
+  static constexpr unsigned kRankBits = 64 / (kForkDepth + 1);
+  static constexpr unsigned kRankShift = kRankBits * kForkDepth;
+  static constexpr Rank kNoStop = ~Rank{0};
+
+  /// The rank of successor `ordinal` of a node at `depth`.
+  static Rank child_rank(Rank rank, std::size_t depth, std::size_t ordinal) {
+    if (depth >= kForkDepth) return rank;
+    return rank | (static_cast<Rank>(ordinal + 1)
+                   << (kRankShift - kRankBits * (depth + 1)));
+  }
+
   template <typename Body>
   void drive(Body&& body) {
     par::TaskPool pool(threads_);
     pool_ = &pool;
+    std::size_t index = 0;
     for (Node& root : policy_.roots()) {
-      pool.submit([this, &body, root = std::move(root)]() mutable {
-        body(std::move(root), std::vector<Label>());
+      pool.submit([this, &body, root = std::move(root),
+                   index = index++]() mutable {
+        body(std::move(root), std::vector<Label>(), index);
       });
     }
     pool.wait_idle();
@@ -297,16 +371,21 @@ class ParallelSearch {
     return stats;
   }
 
-  bool cancelled() const {
+  /// True once work ranked `at` should stop: a goal was published, the
+  /// cap tripped, or a stop was reported at or before `at`. (Accept mode
+  /// files no reports and passes rank 0.)
+  bool cancelled(Rank at) const {
     return found_.load(std::memory_order_acquire) ||
-           exhausted_.load(std::memory_order_acquire) || policy_.cancelled();
+           exhausted_.load(std::memory_order_acquire) ||
+           stop_rank_.load(std::memory_order_relaxed) <= at;
   }
 
   bool at_cap() {
+    if (options_.max_visited == 0) return false;
     const std::size_t count = options_.dedup
                                   ? visited_count_.load(std::memory_order_relaxed)
                                   : entered_.load(std::memory_order_relaxed);
-    if (options_.max_visited != 0 && count >= options_.max_visited) {
+    if (count >= options_.max_visited) {
       exhausted_.store(true, std::memory_order_release);
       return true;
     }
@@ -343,10 +422,22 @@ class ParallelSearch {
     found_.store(true, std::memory_order_release);
   }
 
+  void file(Rank at, Report&& report, bool stop) {
+    {
+      std::lock_guard<std::mutex> lock(result_mutex_);
+      reports_.emplace_back(at, std::move(report));
+    }
+    if (!stop) return;
+    Rank seen = stop_rank_.load(std::memory_order_relaxed);
+    while (at < seen && !stop_rank_.compare_exchange_weak(
+                            seen, at, std::memory_order_relaxed)) {
+    }
+  }
+
   /// One task: searches a subtree, forking shallow children as new tasks.
   /// `prefix` is this task's private label path from the root.
   void dfs_accept(Node&& node, std::size_t depth, std::vector<Label>& prefix) {
-    if (cancelled()) return;
+    if (cancelled(0)) return;
     note_depth(depth);
     policy_.on_enter(node, depth);
     if (policy_.is_goal(node)) {
@@ -362,33 +453,43 @@ class ParallelSearch {
                                  std::vector<Label>& p) {
                             dfs_accept(std::move(n), d, p);
                           });
-                     return !cancelled();
+                     return !cancelled(0);
                    });
   }
 
+  /// As dfs_accept, for collect mode; `rank` is this node's rank.
   template <typename Sink>
   void dfs_collect(Node&& node, std::size_t depth, std::vector<Label>& prefix,
-                   Sink& sink) {
-    if (cancelled()) return;
+                   Rank rank, Sink& sink) {
+    if (cancelled(rank)) return;
     note_depth(depth);
     policy_.on_enter(node, depth);
     if (at_cap()) return;
     if (!enter(node)) return;
-    entered_.fetch_add(1, std::memory_order_relaxed);
+    // With dedup on, the visited set counts the nodes.
+    if (!options_.dedup) entered_.fetch_add(1, std::memory_order_relaxed);
     if (policy_.is_goal(node)) {
       std::lock_guard<std::mutex> lock(result_mutex_);
       sink(node, prefix);
       return;
     }
-    policy_.expand(node, depth, prefix,
-                   [&](Node&& next, Label&& label) -> bool {
-                     step(std::move(next), std::move(label), depth, prefix,
-                          [this, &sink](Node&& n, std::size_t d,
-                                        std::vector<Label>& p) {
-                            dfs_collect(std::move(n), d, p, sink);
-                          });
-                     return !cancelled();
-                   });
+    std::size_t ordinal = 0;  // reported successors take one too
+    policy_.expand(
+        node, depth, prefix,
+        Emitter{[&](Node&& next, Label&& label) -> bool {
+                  const Rank child = child_rank(rank, depth, ordinal++);
+                  step(std::move(next), std::move(label), depth, prefix,
+                       [this, child, &sink](Node&& n, std::size_t d,
+                                            std::vector<Label>& p) {
+                         dfs_collect(std::move(n), d, p, child, sink);
+                       });
+                  return !cancelled(child_rank(rank, depth, ordinal));
+                },
+                [&](Report&& report, bool stop) -> bool {
+                  file(child_rank(rank, depth, ordinal++), std::move(report),
+                       stop);
+                  return !cancelled(child_rank(rank, depth, ordinal));
+                }});
   }
 
   /// Recurse into a successor: as a forked task (with its own prefix copy)
@@ -423,8 +524,10 @@ class ParallelSearch {
   std::atomic<std::size_t> entered_{0};
   std::atomic<std::size_t> dedup_hits_{0};
   std::atomic<std::size_t> max_depth_{0};
+  std::atomic<Rank> stop_rank_{kNoStop};  // lowest-ranked stopping report
   std::mutex result_mutex_;
   std::vector<Label> witness_;
+  std::vector<std::pair<Rank, Report>> reports_;
 };
 
 }  // namespace cal::engine

@@ -101,14 +101,24 @@ class TaggedReclaimer final : public Reclaimer {
     Record rec[kMaxRecords];
     std::size_t count = 0;  // owning thread only
   };
+  struct FreeBlock {
+    Word block = 0;
+    /// Came from retire(); a private dealloc() of a never-published block
+    /// is reused the same way but is no retirement, so it stays out of
+    /// the stats.
+    bool retired = false;
+  };
   struct FreeBin {
     Word cells = 0;
-    std::vector<Word> blocks;
+    std::vector<FreeBlock> blocks;
   };
   struct alignas(64) Bins {
     std::vector<FreeBin> by_size;  // owning thread only
-    std::atomic<std::size_t> size{0};
+    std::atomic<std::size_t> size{0};  // retired blocks among them
   };
+
+  /// Free-lists `block` in `t`'s bin for its cell count.
+  void bin_block(ThreadId t, Word block, Word cells, bool retired);
 
   [[nodiscard]] std::uint64_t bump_tag(std::uint64_t raw) const noexcept {
     const std::uint64_t tag = (raw >> kTagShift) & 0xFFFFull;

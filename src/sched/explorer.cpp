@@ -2,16 +2,17 @@
 
 #include <array>
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <mutex>
+#include <sstream>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "cal/engine/incremental.hpp"
+#include "cal/engine/policy_base.hpp"
 #include "cal/engine/search_engine.hpp"
-#include "cal/parallel/sharded_set.hpp"
 #include "cal/parallel/task_pool.hpp"
 
 namespace cal::sched {
@@ -104,8 +105,8 @@ void encode_world_key(const World& world, const WorldCanon* canon, bool por,
 /// the earlier expansion explored a superset of this node's successor
 /// closure. Re-visits under incomparable masks still re-expand, which is
 /// what keeps the reduction sound (DESIGN.md). Striped-lock sharded so the
-/// parallel walkers can share one instance; the sequential driver uses the
-/// same type with the locks uncontended.
+/// parallel driver's workers can share one instance; the sequential driver
+/// uses the same type with the locks uncontended.
 class SleepSubsumption {
  public:
   /// True iff `key` was already expanded with a recorded mask ⊆ `mask`.
@@ -135,14 +136,17 @@ class SleepSubsumption {
   std::array<Shard, kShards> shards_;
 };
 
-/// The sequential exploration as an engine policy: worlds are nodes,
-/// schedule steps are labels, terminal worlds are goals (collect-mode
-/// sinks). Per-step audits (transition guarantee, state invariant, choice
-/// protocol) run in expand() *before* a successor is emitted, so violating
-/// worlds never enter the search — exactly the pre-engine reached() order.
-/// The engine owns state merging, the max_states cap, depth, and the
-/// schedule prefix; this policy owns transitions/events accounting and
-/// violation recording.
+/// The exploration as an engine policy: worlds are nodes, schedule steps
+/// are labels, terminal worlds are goals (collect-mode sinks), violations
+/// are reports. Per-step audits (transition guarantee, state invariant,
+/// choice protocol) run in expand() *before* a successor is emitted, so
+/// violating worlds never enter the search. The engine owns state merging,
+/// the max_states cap, depth, the schedule prefix, and the order of the
+/// violations; this policy owns transitions/events accounting. kShared
+/// selects the instantiation the parallel driver's workers share: atomic
+/// counters, and a sleep-subsumption table that is striped-locked either
+/// way.
+template <bool kShared>
 class ExplorePolicy {
  public:
   /// A node is a world plus its sleep set (empty when POR is off); the
@@ -151,8 +155,13 @@ class ExplorePolicy {
   struct Node {
     World world;
     SleepSet sleep;
+    /// Set by encode(): the key came from a non-identity thread renaming.
+    /// on_dedup() reads it back on the same node, which belongs to one
+    /// worker, so it needs no lock.
+    mutable bool renamed = false;
   };
   using Label = ScheduleStep;
+  using Report = ScheduleViolation;
 
   ExplorePolicy(const WorldConfig& config,
                 const std::vector<std::unique_ptr<SimObject>>& objects,
@@ -187,26 +196,29 @@ class ExplorePolicy {
 
   void encode(const Node& node, engine::NodeKey& out) {
     encode_world_key(node.world, canon_, por_, sleep_mask_of(node.sleep),
-                     out, last_renamed_);
+                     out, node.renamed);
   }
 
   /// Engine dedup-hit hook: a hit whose key was produced by a non-identity
   /// renaming is a merge only the canonicalizer could have made.
-  void on_dedup(const Node& /*node*/) {
-    if (last_renamed_) ++symmetry_merged_;
+  void on_dedup(const Node& node) {
+    if (node.renamed) engine::bump(symmetry_merged_);
   }
 
   void on_enter(const Node& node, std::size_t /*depth*/) {
-    events_ |= node.world.events();
-    const std::size_t buffered = node.world.memory().buffered_total();
-    if (buffered > buffered_max_) buffered_max_ = buffered;
-    const std::size_t recycled = node.world.recycled_allocs();
-    if (recycled > recycled_allocs_) recycled_allocs_ = recycled;
-    const std::size_t retired = node.world.retired().size();
-    if (retired > retired_max_) retired_max_ = retired;
+    const std::uint64_t events = node.world.events();
+    if constexpr (kShared) {
+      // Read first: the bits are almost always known already.
+      if ((events_.load(std::memory_order_relaxed) & events) != events) {
+        events_.fetch_or(events, std::memory_order_relaxed);
+      }
+    } else {
+      events_ |= events;
+    }
+    engine::raise_to(buffered_max_, node.world.memory().buffered_total());
+    engine::raise_to(recycled_allocs_, node.world.recycled_allocs());
+    engine::raise_to(retired_max_, node.world.retired().size());
   }
-
-  [[nodiscard]] bool cancelled() const noexcept { return done_; }
 
   template <typename Emit>
   void expand(const Node& node, std::size_t /*depth*/,
@@ -216,16 +228,15 @@ class ExplorePolicy {
     // inherits every earlier pure sibling step it is independent of.
     SleepSet cur = node.sleep;
     for (std::size_t i = 0; i < world.threads().size(); ++i) {
-      if (done_) return;
       const ThreadCtx& t = world.threads()[i];
       if (t.done(config_.programs[t.program].calls.size())) continue;
       if (por_ && is_sleeping(node.sleep, i)) {
-        ++por_pruned_;
+        engine::bump(por_pruned_);
         continue;
       }
       const Call& call = config_.programs[t.program].calls[t.call_idx];
       const SimObject& object = *objects_[call.object];
-      ++transitions_;
+      engine::bump(transitions_);
 
       World next = world;  // branch
       next.begin_step();
@@ -238,7 +249,7 @@ class ExplorePolicy {
         // if every branch is pure (a single emitting branch makes the
         // whole step order-sensitive).
         bool all_pure = true;
-        for (std::int32_t c = 0; c < sr.nchoices && !done_; ++c) {
+        for (std::int32_t c = 0; c < sr.nchoices; ++c) {
           World branch = world;
           branch.begin_step();
           ThreadCtx& bt = branch.threads()[i];
@@ -280,12 +291,12 @@ class ExplorePolicy {
     // reduction, trivially sound (DESIGN.md, "The memory-model layer") —
     // but their store footprint does wake dependent sleepers in the child.
     for (std::size_t i = 0; i < world.threads().size(); ++i) {
-      if (done_ || !world.flushable(i)) continue;
-      ++transitions_;
+      if (!world.flushable(i)) continue;
+      engine::bump(transitions_);
       World next = world;
       next.begin_step();
       next.flush_one(i);
-      ++flush_steps_;
+      engine::bump(flush_steps_);
       audit_transition(world, next, next.threads()[i].tid);
       const StepFootprint fp = next.footprint();
       SleepSet child = por_ ? inherit_sleep(cur, fp) : SleepSet{};
@@ -297,30 +308,17 @@ class ExplorePolicy {
     }
   }
 
-  [[nodiscard]] std::size_t transitions() const noexcept {
-    return transitions_;
-  }
-  [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
-  [[nodiscard]] std::size_t por_pruned() const noexcept {
-    return por_pruned_;
-  }
-  [[nodiscard]] std::size_t symmetry_merged() const noexcept {
-    return symmetry_merged_;
-  }
-  [[nodiscard]] std::size_t flush_steps() const noexcept {
-    return flush_steps_;
-  }
-  [[nodiscard]] std::size_t buffered_max() const noexcept {
-    return buffered_max_;
-  }
-  [[nodiscard]] std::size_t recycled_allocs() const noexcept {
-    return recycled_allocs_;
-  }
-  [[nodiscard]] std::size_t retired_max() const noexcept {
-    return retired_max_;
-  }
-  [[nodiscard]] std::vector<ScheduleViolation>&& violations() noexcept {
-    return std::move(violations_);
+  /// Copies the policy's counters into `result`.
+  void fill(ExploreResult& result) const {
+    using engine::read_counter;
+    result.transitions = read_counter(transitions_);
+    result.events = events_;
+    result.por_pruned = read_counter(por_pruned_);
+    result.symmetry_merged = read_counter(symmetry_merged_);
+    result.flush_steps = read_counter(flush_steps_);
+    result.buffered_max = read_counter(buffered_max_);
+    result.recycled_allocs = read_counter(recycled_allocs_);
+    result.retired_max = read_counter(retired_max_);
   }
 
  private:
@@ -331,12 +329,11 @@ class ExplorePolicy {
     }
   }
 
-  /// Audits a freshly stepped world and either records its violation or
+  /// Audits a freshly stepped world and either reports its violation or
   /// hands it to the driver; false stops this node's expansion.
   template <typename Emit>
   bool offer(Node&& node, ScheduleStep step,
              const std::vector<ScheduleStep>& prefix, Emit& emit) {
-    if (done_) return false;
     if (!node.world.violated() && auditor_ != nullptr) {
       if (auto why = auditor_->check_invariant(node.world)) {
         node.world.report_violation("invariant: " + *why);
@@ -345,10 +342,10 @@ class ExplorePolicy {
     if (node.world.violated()) {
       std::vector<ScheduleStep> schedule = prefix;
       schedule.push_back(step);
-      violations_.push_back(ScheduleViolation{
-          node.world.violation().value_or("unknown"), std::move(schedule)});
-      if (options_.stop_on_first_violation) done_ = true;
-      return !done_;
+      return emit.report(
+          ScheduleViolation{node.world.violation().value_or("unknown"),
+                            std::move(schedule)},
+          options_.stop_on_first_violation);
     }
     // Sleep-mask subsumption happens at child-generation time so a covered
     // revisit never enters the engine (and is never counted as a state).
@@ -363,7 +360,7 @@ class ExplorePolicy {
       const auto mask = static_cast<std::uint64_t>(key.back());
       key.pop_back();
       if (subsume_->covered(key, mask)) {
-        ++por_pruned_;
+        engine::bump(por_pruned_);
         return true;
       }
     }
@@ -378,282 +375,43 @@ class ExplorePolicy {
   const bool por_;
   std::unique_ptr<SleepSubsumption> subsume_;
 
-  std::size_t transitions_ = 0;
-  std::uint64_t events_ = 0;
-  std::size_t por_pruned_ = 0;
-  std::size_t symmetry_merged_ = 0;
-  std::size_t flush_steps_ = 0;
-  std::size_t buffered_max_ = 0;
-  std::size_t recycled_allocs_ = 0;
-  std::size_t retired_max_ = 0;
-  bool last_renamed_ = false;
-  std::vector<ScheduleViolation> violations_;
-  bool done_ = false;
+  engine::Counter<kShared> transitions_{0};
+  std::conditional_t<kShared, std::atomic<std::uint64_t>, std::uint64_t>
+      events_{0};
+  engine::Counter<kShared> por_pruned_{0};
+  engine::Counter<kShared> symmetry_merged_{0};
+  engine::Counter<kShared> flush_steps_{0};
+  engine::Counter<kShared> buffered_max_{0};
+  engine::Counter<kShared> recycled_allocs_{0};
+  engine::Counter<kShared> retired_max_{0};
 };
 
-constexpr std::size_t kNoViolation = static_cast<std::size_t>(-1);
-
-/// State shared by every branch walker of one parallel exploration.
-struct SharedExplore {
-  par::ShardedStateSet visited;     ///< merge_states deduplication table
-  SleepSubsumption sleep_seen;      ///< POR sleep-mask subsumption table
-  std::atomic<std::size_t> states{0};  ///< global count, for max_states
-  std::atomic<bool> exhausted{false};
-  /// Smallest branch sequence number that found a violation; branches
-  /// with larger numbers cancel (stop_on_first_violation mode), smaller
-  /// ones run on so the final selection is deterministic.
-  std::atomic<std::size_t> first_violation{kNoViolation};
-
-  void note_violation(std::size_t branch_seq) {
-    std::size_t cur = first_violation.load(std::memory_order_relaxed);
-    while (branch_seq < cur &&
-           !first_violation.compare_exchange_weak(cur, branch_seq,
-                                                  std::memory_order_relaxed)) {
-    }
-  }
-};
-
-/// One branch of the parallel exploration: a sequential DFS over the
-/// subtree rooted at a breadth-first split node, mirroring the sequential
-/// Explorer step for step but routing state merging and the max_states cap
-/// through SharedExplore. Counters, violations, and collected terminals
-/// stay walker-local and are merged in branch order afterwards.
-class Walker {
- public:
-  Walker(const WorldConfig& config,
-         const std::vector<std::unique_ptr<SimObject>>& objects,
-         const ExploreOptions& options, const TransitionAuditor* auditor,
-         const WorldCanon* canon, bool por, SharedExplore& shared,
-         std::size_t branch_seq, std::vector<ScheduleStep> schedule)
-      : config_(config),
-        objects_(objects),
-        options_(options),
-        auditor_(auditor),
-        canon_(canon),
-        por_(por),
-        shared_(shared),
-        branch_seq_(branch_seq),
-        schedule_(std::move(schedule)) {}
-
-  void run(World world, std::size_t depth, SleepSet sleep) {
-    dfs(std::move(world), depth, std::move(sleep));
-  }
-
-  [[nodiscard]] ExploreResult& result() noexcept { return result_; }
-  [[nodiscard]] std::size_t branch_seq() const noexcept { return branch_seq_; }
-
- private:
-  [[nodiscard]] bool stopped() const {
-    if (done_ || shared_.exhausted.load(std::memory_order_relaxed)) {
-      return true;
-    }
-    return options_.stop_on_first_violation &&
-           shared_.first_violation.load(std::memory_order_relaxed) <
-               branch_seq_;
-  }
-
-  void record_violation(const World& world) {
-    result_.violations.push_back(
-        ScheduleViolation{world.violation().value_or("unknown"), schedule_});
-    if (options_.stop_on_first_violation) {
-      shared_.note_violation(branch_seq_);
-      done_ = true;
-    }
-  }
-
-  void reached(World&& world, std::size_t depth, SleepSet&& sleep) {
-    if (stopped()) return;
-    if (world.violated()) {
-      record_violation(world);
-      return;
-    }
-    if (auditor_ != nullptr) {
-      if (auto why = auditor_->check_invariant(world)) {
-        world.report_violation("invariant: " + *why);
-        record_violation(world);
-        return;
-      }
-    }
-    dfs(std::move(world), depth, std::move(sleep));
-  }
-
-  void dfs(World world, std::size_t depth, SleepSet sleep) {
-    if (stopped()) return;
-    if (depth > result_.max_depth) result_.max_depth = depth;
-    result_.events |= world.events();
-    const std::size_t buffered = world.memory().buffered_total();
-    if (buffered > result_.buffered_max) result_.buffered_max = buffered;
-    const std::size_t recycled = world.recycled_allocs();
-    if (recycled > result_.recycled_allocs) {
-      result_.recycled_allocs = recycled;
-    }
-    const std::size_t retired = world.retired().size();
-    if (retired > result_.retired_max) result_.retired_max = retired;
-
-    if (options_.max_states != 0 &&
-        shared_.states.load(std::memory_order_relaxed) >=
-            options_.max_states) {
-      result_.exhausted = true;
-      shared_.exhausted.store(true, std::memory_order_relaxed);
-      done_ = true;
-      return;
-    }
-    if (options_.merge_states) {
-      std::vector<std::int64_t> key;
-      bool renamed = false;
-      encode_world_key(world, canon_, por_, sleep_mask_of(sleep), key,
-                       renamed);
-      if (!shared_.visited.insert(std::move(key))) {
-        ++result_.merged;
-        if (renamed) ++result_.symmetry_merged;
-        return;
-      }
-    }
-    // Subsumption runs before the node is counted: a covered revisit is a
-    // prune, not a state. Terminals always carry an empty sleep set (their
-    // final step is global), so the exact visited key above already dedups
-    // them and they stay out of the subsumption table.
-    if (por_ && options_.merge_states && !world.all_done() &&
-        subsumed(world, sleep_mask_of(sleep))) {
-      ++result_.por_pruned;
-      return;
-    }
-    shared_.states.fetch_add(1, std::memory_order_relaxed);
-    ++result_.states;
-
-    if (world.all_done()) {
-      ++result_.terminals;
-      if (options_.collect_terminals) {
-        auto key = encode_history(world.history());
-        if (seen_histories_.insert(std::move(key)).second) {
-          result_.histories.push_back(world.history());
-          result_.traces.push_back(world.trace());
+/// Runs one exploration of `policy` on `search` (either driver).
+template <typename Policy, typename Search>
+ExploreResult explore(Policy& policy, Search& search,
+                      bool collect_terminals) {
+  ExploreResult result;
+  std::unordered_set<std::vector<std::int64_t>, KeyHash> seen_histories;
+  engine::SearchStats stats = search.run_collect(
+      [&](const typename Policy::Node& node,
+          const std::vector<ScheduleStep>&) {
+        ++result.terminals;
+        if (!collect_terminals) return;
+        auto key = encode_history(node.world.history());
+        if (seen_histories.insert(std::move(key)).second) {
+          result.histories.push_back(node.world.history());
+          result.traces.push_back(node.world.trace());
         }
-      }
-      return;
-    }
+      });
 
-    SleepSet cur = sleep;
-    for (std::size_t i = 0; i < world.threads().size(); ++i) {
-      const ThreadCtx& t = world.threads()[i];
-      if (t.done(config_.programs[t.program].calls.size())) continue;
-      if (por_ && is_sleeping(sleep, i)) {
-        ++result_.por_pruned;
-        continue;
-      }
-      advance(world, i, depth, cur);
-      if (stopped()) return;
-    }
-    // TSO flush transitions (see ExplorePolicy::expand): never slept,
-    // never entering sleep sets, offered for completed threads too.
-    for (std::size_t i = 0; i < world.threads().size(); ++i) {
-      if (!world.flushable(i)) continue;
-      advance_flush(world, i, depth, cur);
-      if (stopped()) return;
-    }
-  }
-
-  /// Sleep-mask subsumption against the shared table (see the sequential
-  /// policy's offer() for the argument).
-  bool subsumed(const World& world, std::uint64_t mask) {
-    std::vector<std::int64_t> key;
-    bool renamed = false;
-    encode_world_key(world, canon_, /*por=*/true, mask, key, renamed);
-    const auto permuted = static_cast<std::uint64_t>(key.back());
-    key.pop_back();
-    return shared_.sleep_seen.covered(key, permuted);
-  }
-
-  void advance_flush(const World& world, std::size_t thread,
-                     std::size_t depth, SleepSet& cur) {
-    schedule_.push_back(
-        ScheduleStep{world.threads()[thread].tid, -1, /*flush=*/true});
-    ++result_.transitions;
-    World next = world;
-    next.begin_step();
-    next.flush_one(thread);
-    ++result_.flush_steps;
-    if (auditor_ != nullptr && !next.violated()) {
-      if (auto why = auditor_->check_transition(
-              world, next, next.threads()[thread].tid)) {
-        next.report_violation("guarantee: " + *why);
-      }
-    }
-    const StepFootprint fp = next.footprint();
-    SleepSet child = por_ ? inherit_sleep(cur, fp) : SleepSet{};
-    reached(std::move(next), depth + 1, std::move(child));
-    schedule_.pop_back();
-  }
-
-  void advance(const World& world, std::size_t thread, std::size_t depth,
-               SleepSet& cur) {
-    const ThreadCtx& t = world.threads()[thread];
-    const Call& call = config_.programs[t.program].calls[t.call_idx];
-    const SimObject& object = *objects_[call.object];
-
-    schedule_.push_back(ScheduleStep{t.tid, -1});
-    ++result_.transitions;
-
-    World next = world;  // branch
-    next.begin_step();
-    ThreadCtx& nt = next.threads()[thread];
-    StepResult sr = object.step(next, nt);
-
-    if (sr.kind == StepResult::Kind::kChoice) {
-      bool all_pure = true;
-      for (std::int32_t c = 0; c < sr.nchoices && !stopped(); ++c) {
-        schedule_.back().choice = c;
-        World branch = world;
-        branch.begin_step();
-        ThreadCtx& bt = branch.threads()[thread];
-        bt.choice = c;
-        StepResult inner = object.step(branch, bt);
-        bt.choice = -1;
-        if (inner.kind == StepResult::Kind::kChoice) {
-          branch.report_violation("machine asked for a choice twice in a row");
-        }
-        if (auditor_ != nullptr && !branch.violated()) {
-          if (auto why = auditor_->check_transition(world, branch, bt.tid)) {
-            branch.report_violation("guarantee: " + *why);
-          }
-        }
-        const StepFootprint fp = branch.footprint();
-        all_pure = all_pure && fp.pure();
-        SleepSet child = por_ ? inherit_sleep(cur, fp) : SleepSet{};
-        reached(std::move(branch), depth + 1, std::move(child));
-      }
-      if (por_ && all_pure) {
-        cur.push_back(SleepEntry{
-            thread, StepFootprint{StepFootprint::Kind::kLocal, kNull, false}});
-      }
-    } else {
-      if (auditor_ != nullptr && !next.violated()) {
-        if (auto why = auditor_->check_transition(world, next, nt.tid)) {
-          next.report_violation("guarantee: " + *why);
-        }
-      }
-      const StepFootprint fp = next.footprint();
-      SleepSet child = por_ ? inherit_sleep(cur, fp) : SleepSet{};
-      reached(std::move(next), depth + 1, std::move(child));
-      if (por_ && fp.pure()) cur.push_back(SleepEntry{thread, fp});
-    }
-
-    schedule_.pop_back();
-  }
-
-  const WorldConfig& config_;
-  const std::vector<std::unique_ptr<SimObject>>& objects_;
-  const ExploreOptions& options_;
-  const TransitionAuditor* auditor_;
-  const WorldCanon* canon_;
-  const bool por_;
-  SharedExplore& shared_;
-  const std::size_t branch_seq_;
-  std::vector<ScheduleStep> schedule_;
-  std::unordered_set<std::vector<std::int64_t>, KeyHash> seen_histories_;
-  ExploreResult result_;
-  bool done_ = false;
-};
+  result.states = stats.visited_states;
+  result.merged = stats.dedup_hits;
+  result.max_depth = stats.max_depth;
+  result.exhausted = stats.exhausted;
+  policy.fill(result);
+  result.violations = search.reports();
+  return result;
+}
 
 }  // namespace
 
@@ -673,14 +431,6 @@ Explorer::Explorer(const WorldConfig& config,
 }
 
 ExploreResult Explorer::run() {
-  const std::size_t threads = par::resolve_threads(options_.threads);
-  ExploreResult result =
-      threads > 1 ? run_parallel(threads) : run_sequential();
-  check_collected(result);
-  return result;
-}
-
-ExploreResult Explorer::run_sequential() {
   // Both reductions are gated off while an auditor is attached: the
   // auditor's per-transition and per-state checks must observe every
   // transition, including the ones a reduction would skip (DESIGN.md).
@@ -695,40 +445,26 @@ ExploreResult Explorer::run_sequential() {
     if (canon_storage->active()) canon = canon_storage.get();
   }
 
-  ExploreResult result;
-  ExplorePolicy policy(config_, objects_, options_, auditor_, canon, por);
-
   engine::SearchOptions sopts;
   sopts.max_visited = options_.max_states;
   sopts.exact_visited = true;  // state merging must be sound, not probable
   sopts.dedup = options_.merge_states;
 
-  std::unordered_set<std::vector<std::int64_t>, KeyHash> seen_histories;
-  engine::SequentialSearch<ExplorePolicy> search(policy, sopts);
-  engine::SearchStats stats = search.run_collect(
-      [&](const ExplorePolicy::Node& node, const std::vector<ScheduleStep>&) {
-        ++result.terminals;
-        if (!options_.collect_terminals) return;
-        auto key = encode_history(node.world.history());
-        if (seen_histories.insert(std::move(key)).second) {
-          result.histories.push_back(node.world.history());
-          result.traces.push_back(node.world.trace());
-        }
-      });
-
-  result.states = stats.visited_states;
-  result.transitions = policy.transitions();
-  result.merged = stats.dedup_hits;
-  result.max_depth = stats.max_depth;
-  result.exhausted = stats.exhausted;
-  result.events = policy.events();
-  result.por_pruned = policy.por_pruned();
-  result.symmetry_merged = policy.symmetry_merged();
-  result.flush_steps = policy.flush_steps();
-  result.buffered_max = policy.buffered_max();
-  result.recycled_allocs = policy.recycled_allocs();
-  result.retired_max = policy.retired_max();
-  result.violations = policy.violations();
+  ExploreResult result;
+  const std::size_t threads = par::resolve_threads(options_.threads);
+  if (threads > 1) {
+    ExplorePolicy<true> policy(config_, objects_, options_, auditor_, canon,
+                               por);
+    engine::ParallelSearch<ExplorePolicy<true>> search(policy, sopts,
+                                                       threads);
+    result = explore(policy, search, options_.collect_terminals);
+  } else {
+    ExplorePolicy<false> policy(config_, objects_, options_, auditor_, canon,
+                                por);
+    engine::SequentialSearch<ExplorePolicy<false>> search(policy, sopts);
+    result = explore(policy, search, options_.collect_terminals);
+  }
+  check_collected(result);
   return result;
 }
 
@@ -749,292 +485,18 @@ void Explorer::check_collected(ExploreResult& result) const {
   }
 }
 
-ExploreResult Explorer::run_parallel(std::size_t threads) {
-  // Phase 1 — breadth-first root split (sequential, deterministic): grow a
-  // frontier of independent subtree roots, one per thread/choice prefix,
-  // until there is enough work to saturate the pool. Every node popped
-  // here goes through exactly the checks the sequential dfs() would apply;
-  // its children go through the advance()/reached() checks. `seq` numbers
-  // record the breadth-first order — they are the tie-breaker that makes
-  // the reported first violation deterministic.
-  struct Node {
-    World world;
-    std::vector<ScheduleStep> schedule;
-    std::size_t depth = 0;
-    SleepSet sleep;
-  };
-
-  const bool por = options_.por && auditor_ == nullptr &&
-                   config_.programs.size() <= 64;
-  std::unique_ptr<WorldCanon> canon_storage;
-  const WorldCanon* canon = nullptr;
-  if (options_.symmetry && auditor_ == nullptr) {
-    canon_storage = std::make_unique<WorldCanon>(config_);
-    if (canon_storage->active()) canon = canon_storage.get();
-  }
-
-  SharedExplore shared;
-  ExploreResult total;
-  std::unordered_set<std::vector<std::int64_t>, KeyHash> merged_seen;
-  std::deque<Node> frontier;
-  bool stop_all = false;
-
-  {
-    World initial(config_);
-    for (auto& obj : objects_) obj->init(initial);
-    frontier.push_back(Node{std::move(initial), {}, 0, {}});
-  }
-
-  const std::size_t split_target = threads * 4;
-  constexpr std::size_t kMaxSplitDepth = 8;
-
-  while (!frontier.empty() && !stop_all && frontier.size() < split_target &&
-         frontier.front().depth < kMaxSplitDepth) {
-    Node node = std::move(frontier.front());
-    frontier.pop_front();
-
-    // dfs()-entry checks.
-    if (node.depth > total.max_depth) total.max_depth = node.depth;
-    total.events |= node.world.events();
-    const std::size_t buffered = node.world.memory().buffered_total();
-    if (buffered > total.buffered_max) total.buffered_max = buffered;
-    const std::size_t recycled = node.world.recycled_allocs();
-    if (recycled > total.recycled_allocs) total.recycled_allocs = recycled;
-    const std::size_t retired = node.world.retired().size();
-    if (retired > total.retired_max) total.retired_max = retired;
-    if (options_.max_states != 0 &&
-        shared.states.load(std::memory_order_relaxed) >= options_.max_states) {
-      total.exhausted = true;
-      stop_all = true;
-      break;
-    }
-    if (options_.merge_states) {
-      std::vector<std::int64_t> key;
-      bool renamed = false;
-      encode_world_key(node.world, canon, por, sleep_mask_of(node.sleep),
-                       key, renamed);
-      if (!shared.visited.insert(std::move(key))) {
-        ++total.merged;
-        if (renamed) ++total.symmetry_merged;
-        continue;
-      }
-    }
-    if (por && options_.merge_states && !node.world.all_done()) {
-      // Sleep-mask subsumption, against the same table the walkers share.
-      // Runs before the state count so a covered revisit is a prune, not a
-      // state (terminals are exempt; see Walker::dfs).
-      std::vector<std::int64_t> key;
-      bool renamed = false;
-      encode_world_key(node.world, canon, /*por=*/true,
-                       sleep_mask_of(node.sleep), key, renamed);
-      const auto permuted = static_cast<std::uint64_t>(key.back());
-      key.pop_back();
-      if (shared.sleep_seen.covered(key, permuted)) {
-        ++total.por_pruned;
-        continue;
-      }
-    }
-    shared.states.fetch_add(1, std::memory_order_relaxed);
-    ++total.states;
-    if (node.world.all_done()) {
-      ++total.terminals;
-      if (options_.collect_terminals) {
-        auto key = encode_history(node.world.history());
-        if (merged_seen.insert(std::move(key)).second) {
-          total.histories.push_back(node.world.history());
-          total.traces.push_back(node.world.trace());
-        }
-      }
-      continue;
-    }
-
-    // advance()/reached() on every runnable thread.
-    auto emit = [&](World&& w, std::vector<ScheduleStep>&& sched,
-                    SleepSet&& child_sleep) {
-      if (!w.violated() && auditor_ != nullptr) {
-        if (auto why = auditor_->check_invariant(w)) {
-          w.report_violation("invariant: " + *why);
-        }
-      }
-      if (w.violated()) {
-        total.violations.push_back(
-            ScheduleViolation{w.violation().value_or("unknown"), sched});
-        if (options_.stop_on_first_violation) stop_all = true;
-        return;
-      }
-      frontier.push_back(Node{std::move(w), std::move(sched), node.depth + 1,
-                              std::move(child_sleep)});
-    };
-
-    SleepSet cur = node.sleep;
-    for (std::size_t i = 0; i < node.world.threads().size() && !stop_all;
-         ++i) {
-      const ThreadCtx& t = node.world.threads()[i];
-      if (t.done(config_.programs[t.program].calls.size())) continue;
-      if (por && is_sleeping(node.sleep, i)) {
-        ++total.por_pruned;
-        continue;
-      }
-      const Call& call = config_.programs[t.program].calls[t.call_idx];
-      const SimObject& object = *objects_[call.object];
-      ++total.transitions;
-
-      World next = node.world;
-      next.begin_step();
-      ThreadCtx& nt = next.threads()[i];
-      StepResult sr = object.step(next, nt);
-
-      if (sr.kind == StepResult::Kind::kChoice) {
-        bool all_pure = true;
-        for (std::int32_t c = 0; c < sr.nchoices && !stop_all; ++c) {
-          World branch = node.world;
-          branch.begin_step();
-          ThreadCtx& bt = branch.threads()[i];
-          bt.choice = c;
-          StepResult inner = object.step(branch, bt);
-          bt.choice = -1;
-          if (inner.kind == StepResult::Kind::kChoice) {
-            branch.report_violation(
-                "machine asked for a choice twice in a row");
-          }
-          if (auditor_ != nullptr && !branch.violated()) {
-            if (auto why =
-                    auditor_->check_transition(node.world, branch, bt.tid)) {
-              branch.report_violation("guarantee: " + *why);
-            }
-          }
-          const StepFootprint fp = branch.footprint();
-          all_pure = all_pure && fp.pure();
-          std::vector<ScheduleStep> sched = node.schedule;
-          sched.push_back(ScheduleStep{t.tid, c});
-          emit(std::move(branch), std::move(sched),
-               por ? inherit_sleep(cur, fp) : SleepSet{});
-        }
-        if (por && all_pure) {
-          cur.push_back(SleepEntry{
-              i, StepFootprint{StepFootprint::Kind::kLocal, kNull, false}});
-        }
-      } else {
-        if (auditor_ != nullptr && !next.violated()) {
-          if (auto why = auditor_->check_transition(node.world, next,
-                                                    nt.tid)) {
-            next.report_violation("guarantee: " + *why);
-          }
-        }
-        const StepFootprint fp = next.footprint();
-        std::vector<ScheduleStep> sched = node.schedule;
-        sched.push_back(ScheduleStep{t.tid, -1});
-        emit(std::move(next), std::move(sched),
-             por ? inherit_sleep(cur, fp) : SleepSet{});
-        if (por && fp.pure()) cur.push_back(SleepEntry{i, fp});
-      }
-    }
-
-    // TSO flush transitions (see ExplorePolicy::expand).
-    for (std::size_t i = 0; i < node.world.threads().size() && !stop_all;
-         ++i) {
-      if (!node.world.flushable(i)) continue;
-      ++total.transitions;
-      World next = node.world;
-      next.begin_step();
-      next.flush_one(i);
-      ++total.flush_steps;
-      if (auditor_ != nullptr && !next.violated()) {
-        if (auto why = auditor_->check_transition(
-                node.world, next, next.threads()[i].tid)) {
-          next.report_violation("guarantee: " + *why);
-        }
-      }
-      const StepFootprint fp = next.footprint();
-      std::vector<ScheduleStep> sched = node.schedule;
-      sched.push_back(
-          ScheduleStep{node.world.threads()[i].tid, -1, /*flush=*/true});
-      emit(std::move(next), std::move(sched),
-           por ? inherit_sleep(cur, fp) : SleepSet{});
-    }
-  }
-
-  // Phase 2 — branch walkers on the pool. Branch sequence numbers follow
-  // the frontier (= breadth-first) order.
-  if (!stop_all && !frontier.empty()) {
-    std::vector<std::unique_ptr<Walker>> walkers;
-    walkers.reserve(frontier.size());
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      walkers.push_back(std::make_unique<Walker>(
-          config_, objects_, options_, auditor_, canon, por, shared, i,
-          std::move(frontier[i].schedule)));
-    }
-    {
-      par::TaskPool pool(threads);
-      for (std::size_t i = 0; i < walkers.size(); ++i) {
-        pool.submit([w = walkers[i].get(), world = std::move(frontier[i].world),
-                     depth = frontier[i].depth,
-                     sleep = std::move(frontier[i].sleep)]() mutable {
-          w->run(std::move(world), depth, std::move(sleep));
-        });
-      }
-      pool.wait_idle();
-    }
-
-    // Phase 3 — deterministic merge, in branch order.
-    for (const auto& w : walkers) {
-      const ExploreResult& r = w->result();
-      total.states += r.states;
-      total.transitions += r.transitions;
-      total.merged += r.merged;
-      total.por_pruned += r.por_pruned;
-      total.symmetry_merged += r.symmetry_merged;
-      total.flush_steps += r.flush_steps;
-      if (r.buffered_max > total.buffered_max) {
-        total.buffered_max = r.buffered_max;
-      }
-      if (r.recycled_allocs > total.recycled_allocs) {
-        total.recycled_allocs = r.recycled_allocs;
-      }
-      if (r.retired_max > total.retired_max) {
-        total.retired_max = r.retired_max;
-      }
-      total.terminals += r.terminals;
-      if (r.max_depth > total.max_depth) total.max_depth = r.max_depth;
-      total.events |= r.events;
-      total.exhausted = total.exhausted || r.exhausted;
-      for (std::size_t i = 0; i < r.histories.size(); ++i) {
-        if (merged_seen.insert(encode_history(r.histories[i])).second) {
-          total.histories.push_back(r.histories[i]);
-          total.traces.push_back(r.traces[i]);
-        }
-      }
-    }
-    if (options_.stop_on_first_violation) {
-      // The earliest branch that found one wins (phase-1 violations, if
-      // any, stopped the split before walkers launched).
-      if (total.violations.empty()) {
-        for (const auto& w : walkers) {
-          if (!w->result().violations.empty()) {
-            total.violations.push_back(w->result().violations.front());
-            break;
-          }
-        }
-      }
-    } else {
-      for (const auto& w : walkers) {
-        for (const ScheduleViolation& v : w->result().violations) {
-          total.violations.push_back(v);
-        }
-      }
-    }
-  }
-  return total;
+std::ostream& operator<<(std::ostream& os, const ScheduleStep& step) {
+  os << 't' << step.tid;
+  if (step.flush) os << "!flush";
+  if (step.choice >= 0) os << '#' << step.choice;
+  return os;
 }
 
 std::string ScheduleViolation::to_string() const {
-  std::string out = what + "\nschedule:";
-  for (const ScheduleStep& s : schedule) {
-    out += " t" + std::to_string(s.tid);
-    if (s.flush) out += "!flush";
-    if (s.choice >= 0) out += "#" + std::to_string(s.choice);
-  }
-  return out;
+  std::ostringstream out;
+  out << what << "\nschedule:";
+  for (const ScheduleStep& step : schedule) out << ' ' << step;
+  return out.str();
 }
 
 World Explorer::replay(const std::vector<ScheduleStep>& schedule,

@@ -17,15 +17,17 @@
 // every reached state; the rely/guarantee audit of Fig. 4 (sched/rg.hpp) is
 // implemented as one.
 //
-// The sequential walk runs on the shared search engine
+// One policy drives the walk on the shared search engine
 // (cal/engine/search_engine.hpp) in collect mode: worlds are nodes,
-// schedule steps are labels, terminal states are goals. The parallel walk
-// keeps its bespoke deterministic breadth-first split + Walker pool. With
-// `check_spec` set, every collected terminal history is additionally
-// checked for CAL membership by the streaming checker
-// (cal/engine/incremental.hpp) as a post-pass shared by both drivers.
+// schedule steps are labels, terminal states are goals, violations are
+// reports. ExploreOptions::threads picks the driver: the sequential DFS or
+// the work-stealing parallel one, whose rank rule keeps the reported
+// violations in sequential DFS order. With `check_spec` set, every
+// collected terminal history is additionally checked for CAL membership by
+// the streaming checker (cal/engine/incremental.hpp) as a post-pass.
 #pragma once
 
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -58,16 +60,15 @@ struct ExploreOptions {
   /// record_trace in the WorldConfig; usually with merge_states = false).
   bool collect_terminals = false;
   /// Worker threads (1 = the sequential engine, bit-for-bit the historical
-  /// behavior; 0 = one per hardware thread). With more than one thread the
-  /// root of the schedule tree is split breadth-first into branches —
-  /// one per thread/choice prefix — that explore in work-stealing pool
-  /// tasks sharing the state-merging table. Verdicts (and, absent
-  /// violations and caps, the states/transitions/terminals counters) are
-  /// identical to the sequential engine. The reported first violation is
-  /// chosen deterministically — the violation of the earliest branch in
-  /// the breadth-first split order — so replays stay stable; under
-  /// merge_states the winning *schedule* can still differ from the
-  /// sequential engine's (it is always a real, replayable counterexample).
+  /// behavior; 0 = one per hardware thread). More than one runs the same
+  /// policy on the engine's parallel driver, whose pool tasks share the
+  /// state-merging table. Verdicts (and, absent violations and caps, the
+  /// states/transitions/terminals counters) are identical to the
+  /// sequential engine. Violations are ranked by their place in the
+  /// sequential DFS order, so without merge_states the reported ones —
+  /// the first, or all in order — equal the sequential engine's; under
+  /// merge_states the winning *schedule* can differ (it is always a real,
+  /// replayable counterexample).
   std::size_t threads = 1;
   /// When set (together with collect_terminals), every collected terminal
   /// history is checked for CAL membership against this spec with the
@@ -109,6 +110,10 @@ struct ScheduleStep {
 
   friend bool operator==(const ScheduleStep&, const ScheduleStep&) = default;
 };
+
+/// Renders a step as schedules print it: `t<tid>`, then `!flush` for a
+/// flush step and `#<choice>` for a consumed choice.
+std::ostream& operator<<(std::ostream& os, const ScheduleStep& step);
 
 struct ScheduleViolation {
   std::string what;
@@ -179,12 +184,6 @@ class Explorer {
                              bool record = true);
 
  private:
-  /// The sequential walk: the engine collect driver over ExplorePolicy
-  /// (explorer.cpp).
-  [[nodiscard]] ExploreResult run_sequential();
-  /// The multi-threaded engine behind ExploreOptions::threads > 1
-  /// (explorer.cpp: breadth-first root split + Walker pool tasks).
-  [[nodiscard]] ExploreResult run_parallel(std::size_t threads);
   /// The check_spec post-pass over collected terminal histories.
   void check_collected(ExploreResult& result) const;
 

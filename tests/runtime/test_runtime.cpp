@@ -1,4 +1,5 @@
-// Runtime substrate tests: thread registry, recorder, trace log, EBR.
+// Runtime substrate tests: thread registry, recorder, trace log, EBR, and
+// the tagged reclaimer's stats.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -6,6 +7,7 @@
 #include <vector>
 
 #include "runtime/reclaim/ebr.hpp"
+#include "runtime/reclaim/tagged.hpp"
 #include "runtime/recorder.hpp"
 #include "runtime/thread_registry.hpp"
 #include "runtime/trace_log.hpp"
@@ -374,6 +376,28 @@ TEST(Ebr, ThreadChurnReusedSlotsStayCoherent) {
   // the domain collects, proving no departed generation wedged the epoch.
   for (int i = 0; i < 4; ++i) ebr.collect(writer_id);
   EXPECT_EQ(ebr.retired_count(), 0u);
+}
+
+TEST(TaggedReclaimer, PrivateDeallocIsNotARetirement) {
+  // A node that lost its publishing CAS is freed privately. The block is
+  // recycled like a retired one, but it was never retired, so neither
+  // counter may move; a real retirement then counts as usual.
+  TaggedReclaimer reclaimer;
+  const TaggedReclaimer::Word block = reclaimer.alloc(0, 2);
+  reclaimer.dealloc(0, block, 2);
+  EXPECT_EQ(reclaimer.stats().retired_pending, 0u);
+  EXPECT_EQ(reclaimer.stats().reclaimed_total, 0u);
+
+  ASSERT_EQ(reclaimer.alloc(0, 2), block);  // type-stable reuse
+  EXPECT_EQ(reclaimer.stats().retired_pending, 0u);
+  EXPECT_EQ(reclaimer.stats().reclaimed_total, 0u);
+
+  reclaimer.retire(0, block, 2);
+  EXPECT_EQ(reclaimer.stats().retired_pending, 1u);
+  ASSERT_EQ(reclaimer.alloc(0, 2), block);
+  EXPECT_EQ(reclaimer.stats().retired_pending, 0u);
+  EXPECT_EQ(reclaimer.stats().reclaimed_total, 1u);
+  reclaimer.dealloc(0, block, 2);  // the destructor frees the bins
 }
 
 }  // namespace
