@@ -5,13 +5,16 @@
 // Series regenerated:
 //   * CAL checker on exchanger histories vs #operations (valid histories
 //     from the known-good generator used in the property tests);
-//   * classical checker on stack histories of the same lengths;
+//   * classical checker on stack histories of the same lengths, and on
+//     seeded overlapping stack histories (mostly refutations);
 //   * CAL checker vs overlap width (all operations concurrent — the
 //     adversarial case for the subset enumeration);
 //   * the Def. 5 agreement check (linear pass) as the baseline primitive.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <random>
+#include <vector>
 
 #include "cal/agree.hpp"
 #include "cal/cal_checker.hpp"
@@ -188,23 +191,91 @@ BENCHMARK(BM_LinChecker_StackHistory)
     ->Arg(64)
     ->Arg(128);
 
-void BM_CalCheckerViaAdapter_StackHistory(benchmark::State& state) {
-  // The generality tax: same histories, CAL checker through SeqAsCaSpec.
-  const History h = stack_history(static_cast<std::size_t>(state.range(0)));
-  auto seq = std::make_shared<StackSpec>(Symbol{"S"});
-  SeqAsCaSpec spec(seq);
-  CalChecker checker(spec);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(checker.check(h).ok);
+/// Overlapping stack history: `threads` threads each run ops/threads
+/// push/pop calls, interleaved at random (seeded), each taking effect at
+/// its invocation, so the history is linearizable. With `corrupt`, the
+/// last pop to respond instead claims another value that was pushed,
+/// which the checker can only refute after trying the interleavings
+/// before it.
+History overlap_stack_history(std::mt19937& rng, std::size_t threads,
+                              std::size_t n_ops, bool corrupt) {
+  auto rnd = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  std::vector<Action> actions;
+  std::vector<std::size_t> left(threads, n_ops / threads);
+  std::vector<std::optional<Value>> open(threads);  // return of the open op
+  std::vector<std::int64_t> stack;
+  std::int64_t next = 1;
+  const Symbol s{"S"};
+  const Symbol push{"push"};
+  const Symbol pop{"pop"};
+  std::size_t last_pop = 0;
+  for (;;) {
+    std::vector<std::size_t> live;
+    for (std::size_t t = 0; t < threads; ++t) {
+      if (open[t] || left[t] > 0) live.push_back(t);
+    }
+    if (live.empty()) break;
+    const std::size_t t = live[rnd(live.size())];
+    const auto tid = static_cast<ThreadId>(t + 1);
+    if (open[t]) {
+      const bool is_pop = open[t]->kind() == Value::Kind::kPair;
+      if (is_pop) last_pop = actions.size();
+      actions.push_back(
+          Action::respond(tid, s, is_pop ? pop : push, *open[t]));
+      open[t].reset();
+    } else if (stack.empty() || rnd(2) == 0) {
+      actions.push_back(Action::invoke(tid, s, push, iv(next)));
+      stack.push_back(next++);
+      open[t] = Value::boolean(true);
+      --left[t];
+    } else {
+      actions.push_back(Action::invoke(tid, s, pop, Value::unit()));
+      open[t] = Value::pair(true, stack.back());
+      stack.pop_back();
+      --left[t];
+    }
   }
+  if (corrupt && last_pop != 0 && next > 2) {
+    const std::int64_t claimed = actions[last_pop].payload.pair_int();
+    actions[last_pop].payload =
+        Value::pair(true, claimed == 1 ? 2 : claimed - 1);
+  }
+  return History{std::move(actions)};
 }
-BENCHMARK(BM_CalCheckerViaAdapter_StackHistory)
-    ->ArgName("ops")
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(32)
-    ->Arg(64)
-    ->Arg(128);
+
+void BM_LinChecker_OverlapStackHistory(benchmark::State& state) {
+  // 40 seeded histories per iteration, three in four corrupted.
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  const auto n_ops = static_cast<std::size_t>(state.range(1));
+  std::mt19937 rng(14);
+  std::vector<History> histories;
+  for (int i = 0; i < 40; ++i) {
+    histories.push_back(
+        overlap_stack_history(rng, threads, n_ops, /*corrupt=*/i % 4 != 0));
+  }
+  StackSpec spec(Symbol{"S"});
+  LinChecker checker(spec);
+  std::size_t accepted = 0;
+  std::size_t visited = 0;
+  for (auto _ : state) {
+    accepted = 0;
+    visited = 0;
+    for (const History& h : histories) {
+      const LinCheckResult r = checker.check(h);
+      accepted += r.ok ? 1 : 0;
+      visited += r.visited_states;
+    }
+  }
+  state.counters["accepted"] = static_cast<double>(accepted);
+  state.counters["visited_states"] = static_cast<double>(visited);
+}
+BENCHMARK(BM_LinChecker_OverlapStackHistory)
+    ->ArgNames({"threads", "ops"})
+    ->Args({3, 40})
+    ->Args({4, 40})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Agree_Def5(benchmark::State& state) {
   const History h = exchanger_history(static_cast<std::size_t>(state.range(0)));

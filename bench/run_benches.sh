@@ -2,22 +2,22 @@
 # Runs the checked-in benchmark series and writes google-benchmark's
 # aggregate JSON (median ns/op plus per-series counters):
 #
-#   * T-MEM / T-CHECK — state-compression series (bench_checker_scaling)
+#   * checker: T-MEM / T-CHECK — state-compression series (bench_checker_scaling)
 #     → BENCH_state_compression.json
-#   * T-STREAM — streaming incremental checker vs batch (bench_streaming)
+#   * streaming: T-STREAM — streaming incremental checker vs batch (bench_streaming)
 #     → BENCH_streaming.json
-#   * T-ENV — RealEnv abstraction cost vs the direct-atomic twin
+#   * env: T-ENV — RealEnv abstraction cost vs the direct-atomic twin
 #     (bench_model_check, BM_Env_StepOverhead_*) → BENCH_env_unification.json
-#   * T-POR — partial-order + thread-symmetry reduction: the explorer
+#   * por: T-POR — partial-order + thread-symmetry reduction: the explorer
 #     {por,symmetry} grid and the checker symmetry overlap-width series
 #     (bench_model_check, BM_Explore_Reduction + BM_CalChecker_OverlapWidth
 #     _Sym/_Reject_Sym) → BENCH_por.json
-#   * T-PQ — polynomial order checker vs the enumerative engine on
+#   * pq: T-PQ — polynomial order checker vs the enumerative engine on
 #     priority-queue staircase/overlap widths (bench_pq) → BENCH_pq.json
-#   * T-WMM — the memory-model axis: annotated vs seq_cst-forced RealEnv
+#   * wmm: T-WMM — the memory-model axis: annotated vs seq_cst-forced RealEnv
 #     on the exchanger/stack hot paths, and explorer SC-vs-TSO state
 #     counts (bench_weak_memory) → BENCH_weak_memory.json
-#   * T-RECLAIM — the reclamation axis: ebr/hp/tagged backends head-to-head
+#   * reclaim: T-RECLAIM — the reclamation axis: ebr/hp/tagged backends head-to-head
 #     on the Treiber-stack churn path (bench_reclaim) → BENCH_reclaim.json
 #
 # Benches are built (and, when missing, configured) in a dedicated Release
@@ -31,6 +31,10 @@
 # flags, so it cannot guard the measured code.)
 #
 # Environment overrides:
+#   SERIES         space-separated names of the series above to build and
+#                  run (default: all seven). Only their bench targets are
+#                  built and only their BENCH_*.json files are rewritten,
+#                  e.g. SERIES="reclaim pq" bench/run_benches.sh
 #   BUILD_DIR      build tree containing the bench binaries (default:
 #                  build-bench, configured with CMAKE_BUILD_TYPE=Release;
 #                  if you point this at another tree, its binaries must
@@ -86,8 +90,28 @@ WMM_OUT="${WMM_OUT:-$ROOT/BENCH_weak_memory.json}"
 RECLAIM_FILTER="${RECLAIM_FILTER:-BM_Reclaim}"
 RECLAIM_OUT="${RECLAIM_OUT:-$ROOT/BENCH_reclaim.json}"
 
-BENCH_TARGETS=(bench_checker_scaling bench_streaming bench_model_check bench_pq
-  bench_weak_memory bench_reclaim)
+SERIES="${SERIES:-checker streaming env por pq wmm reclaim}"
+
+# The bench target each series runs.
+target_of() {
+  case "$1" in
+    checker) echo bench_checker_scaling ;;
+    streaming) echo bench_streaming ;;
+    env | por) echo bench_model_check ;;
+    pq) echo bench_pq ;;
+    wmm) echo bench_weak_memory ;;
+    reclaim) echo bench_reclaim ;;
+    *)
+      echo "error: unknown series '$1' (want: checker streaming env por pq wmm reclaim)" >&2
+      exit 2
+      ;;
+  esac
+}
+
+BENCH_TARGETS=()
+for series in $SERIES; do
+  BENCH_TARGETS+=("$(target_of "$series")")
+done
 
 ensure_built() {
   if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
@@ -128,10 +152,14 @@ run_series() {
 }
 
 ensure_built
-run_series "$BUILD_DIR/bench/bench_checker_scaling" "$FILTER" "$OUT"
-run_series "$BUILD_DIR/bench/bench_streaming" "$STREAM_FILTER" "$STREAM_OUT"
-run_series "$BUILD_DIR/bench/bench_model_check" "$ENV_FILTER" "$ENV_OUT"
-run_series "$BUILD_DIR/bench/bench_model_check" "$POR_FILTER" "$POR_OUT"
-run_series "$BUILD_DIR/bench/bench_pq" "$PQ_FILTER" "$PQ_OUT"
-run_series "$BUILD_DIR/bench/bench_weak_memory" "$WMM_FILTER" "$WMM_OUT"
-run_series "$BUILD_DIR/bench/bench_reclaim" "$RECLAIM_FILTER" "$RECLAIM_OUT"
+for series in $SERIES; do
+  case "$series" in
+    checker) run_series "$BUILD_DIR/bench/bench_checker_scaling" "$FILTER" "$OUT" ;;
+    streaming) run_series "$BUILD_DIR/bench/bench_streaming" "$STREAM_FILTER" "$STREAM_OUT" ;;
+    env) run_series "$BUILD_DIR/bench/bench_model_check" "$ENV_FILTER" "$ENV_OUT" ;;
+    por) run_series "$BUILD_DIR/bench/bench_model_check" "$POR_FILTER" "$POR_OUT" ;;
+    pq) run_series "$BUILD_DIR/bench/bench_pq" "$PQ_FILTER" "$PQ_OUT" ;;
+    wmm) run_series "$BUILD_DIR/bench/bench_weak_memory" "$WMM_FILTER" "$WMM_OUT" ;;
+    reclaim) run_series "$BUILD_DIR/bench/bench_reclaim" "$RECLAIM_FILTER" "$RECLAIM_OUT" ;;
+  esac
+done

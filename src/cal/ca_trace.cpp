@@ -35,7 +35,9 @@ CaElement CaElement::swap(Symbol o, Symbol method, ThreadId t, std::int64_t v,
 }
 
 CaElement CaElement::singleton(Symbol o, Operation op) {
-  return CaElement(o, {std::move(op)});
+  std::vector<Operation> ops;
+  ops.push_back(std::move(op));  // an initializer list would copy it
+  return CaElement(o, std::move(ops));
 }
 
 std::size_t CaElement::hash() const noexcept {

@@ -18,9 +18,9 @@ std::vector<CaStepResult> SeqAsCaSpec::step(
   for (SeqStepResult& sr :
        seq_->step(state, op.tid, object, op.method, op.arg, op.ret)) {
     Operation completed = op;
-    completed.ret = sr.ret;
-    out.push_back(CaStepResult{std::move(sr.next),
-                               CaElement::singleton(object, completed)});
+    completed.ret = std::move(sr.ret);
+    out.push_back(CaStepResult{
+        std::move(sr.next), CaElement::singleton(object, std::move(completed))});
   }
   return out;
 }
@@ -41,7 +41,11 @@ CalCheckResult collect_result(Driver& driver,
   result.symmetry_merged = policy.symmetry_merged();
   result.step_cache_hits = policy.step_cache_hits();
   result.step_cache_misses = policy.step_cache_misses();
-  if (result.ok) result.witness = CaTrace(driver.witness());
+  if (result.ok) {
+    std::vector<CaElement> witness;
+    for (const CaElement* e : driver.witness()) witness.push_back(*e);
+    result.witness = CaTrace(std::move(witness));
+  }
   return result;
 }
 

@@ -8,8 +8,10 @@
 // their supersets, and each subset stepped through the per-search spec
 // memo. Pending invocations participate only when completion is allowed.
 // The goal is every completed operation fired. Labels are the fired
-// CA-elements, so an accept-mode witness is exactly a trace T ∈ 𝒯 with
-// H^c ⊑CAL T.
+// CA-elements (pointers into the memo), so an accept-mode witness is
+// exactly a trace T ∈ 𝒯 with H^c ⊑CAL T. successors() is the library's one
+// CA-element successor relation: the streaming window search
+// (engine/incremental.cpp) and LinChecker (over SeqAsCaSpec) run on it.
 //
 // The expansion order replicates the pre-engine checker line for line —
 // with the sequential driver and exact dedup this policy is bit-for-bit
@@ -19,6 +21,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <span>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -56,7 +61,7 @@ class CalPolicy {
     StateMask fired;
     std::size_t fired_completed;
   };
-  using Label = CaElement;
+  using Label = const CaElement*;  ///< into the memo, which never erases
 
   CalPolicy(const std::vector<OpRecord>& ops, const CaSpec& spec,
             bool complete_pending, bool symmetry = false)
@@ -65,6 +70,8 @@ class CalPolicy {
         complete_pending_(complete_pending),
         index_(ops) {
     if (symmetry) build_groups();
+    // Every element fires an unfired operation, so depth <= ops.size().
+    if constexpr (!kShared) scratch_.resize(ops.size() + 1);
   }
 
   std::vector<Node> roots() const {
@@ -122,35 +129,50 @@ class CalPolicy {
   }
 
   template <typename Emit>
-  void expand(const Node& node, std::size_t /*depth*/,
+  void expand(const Node& node, std::size_t depth,
               const std::vector<Label>& /*prefix*/, Emit&& emit) {
-    // Collect enabled operations, grouped by object. Pending invocations
-    // participate only when completion is allowed.
-    std::unordered_map<Symbol, std::vector<std::size_t>> by_object;
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      if (!index_.enabled(i, node.fired)) continue;
-      if (ops_[i].is_pending() && !complete_pending_) continue;
-      by_object[ops_[i].op.object].push_back(i);
-    }
+    successors(node, depth,
+               [&emit](Node&& next, const std::vector<std::size_t>&,
+                       const CaElement& element) {
+                 return emit(std::move(next), &element);
+               });
+  }
 
-    // Enumerate non-empty subsets of each object's candidates, largest
-    // first (multi-operation CA-elements are the common witness shape for
-    // CA-objects, e.g. exchanger swaps).
-    std::vector<std::size_t> chosen;
-    std::vector<Operation> chosen_ops;
+  /// Calls fire(Node&& next, chosen, element) for each CA-element successor
+  /// of `node` (at `depth`), in expansion order: `chosen` are the fired
+  /// operations' indices, `element` the memoized spec element with its
+  /// decided returns. A false return stops.
+  template <typename Fire>
+  void successors(const Node& node, std::size_t depth, Fire&& fire) {
+    Scratch local;
+    Scratch& scratch = kShared ? local : scratch_[depth];
+    // Collect enabled operations. Pending invocations participate only
+    // when completion is allowed.
+    std::vector<std::size_t>& enabled = scratch.enabled;
+    enabled.clear();
+    const std::size_t prefix = index_.fired_prefix(node.fired);
+    bool one_object = true;
+    for (std::size_t i = 0, end = index_.scan_end(prefix); i < end; ++i) {
+      if (!index_.enabled(i, node.fired, prefix)) continue;
+      if (ops_[i].is_pending() && !complete_pending_) continue;
+      one_object = one_object && (enabled.empty() ||
+                                  ops_[i].op.object ==
+                                      ops_[enabled.front()].op.object);
+      enabled.push_back(i);
+    }
+    if (enabled.empty()) return;
+
+    // Each object's candidates are enumerated on their own. One object —
+    // the common case — needs no grouping map.
+    if (one_object) {
+      fire_object(node, ops_[enabled.front()].op.object, enabled, scratch,
+                  fire);
+      return;
+    }
+    std::unordered_map<Symbol, std::vector<std::size_t>> by_object;
+    for (std::size_t i : enabled) by_object[ops_[i].op.object].push_back(i);
     for (const auto& [object, candidates] : by_object) {
-      const std::size_t cap =
-          spec_.max_element_size() == 0
-              ? candidates.size()
-              : std::min(spec_.max_element_size(), candidates.size());
-      for (std::size_t size = cap; size >= 1; --size) {
-        chosen.clear();
-        chosen_ops.clear();
-        if (!try_subsets(node, object, candidates, 0, size, chosen,
-                         chosen_ops, emit)) {
-          return;
-        }
-      }
+      if (!fire_object(node, object, candidates, scratch, fire)) return;
     }
   }
 
@@ -162,12 +184,6 @@ class CalPolicy {
   }
   [[nodiscard]] std::size_t symmetry_merged() const {
     return read_counter(symmetry_merged_);
-  }
-  /// Operations actually covered by a symmetry group (diagnostic).
-  [[nodiscard]] std::size_t symmetric_ops() const {
-    std::size_t n = 0;
-    for (const auto& g : groups_) n += g.size();
-    return n;
   }
   [[nodiscard]] std::size_t step_cache_hits() const { return memo_.hits(); }
   [[nodiscard]] std::size_t step_cache_misses() const {
@@ -185,42 +201,18 @@ class CalPolicy {
   ///   * they constrain the same successors: their positions in the
   ///     response-sorted order fall on the same side of every distinct
   ///     predecessor-count threshold.
-  /// The last two conditions are recomputed here from the raw indices the
-  /// same way HistoryIndex computes them (it exposes only the combined
-  /// `enabled` query). Groups of size 1 are dropped — they reduce nothing.
+  /// Groups of size 1 are dropped — they reduce nothing.
   void build_groups() {
     const std::size_t n = ops_.size();
-    // Response-sorted order of completed ops, and each op's position in it.
-    std::vector<std::size_t> by_res;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!ops_[i].is_pending()) by_res.push_back(i);
-    }
-    std::sort(by_res.begin(), by_res.end(),
-              [this](std::size_t a, std::size_t b) {
-                return *ops_[a].res_index < *ops_[b].res_index;
-              });
+    // Each completed op's position in the response-sorted order.
     std::vector<std::size_t> pos(n, 0);
+    const std::span<const std::size_t> by_res = index_.by_response();
     for (std::size_t p = 0; p < by_res.size(); ++p) pos[by_res[p]] = p;
-    // Predecessor-prefix length per op (HistoryIndex's sweep).
-    std::vector<std::size_t> by_inv(n);
-    for (std::size_t i = 0; i < n; ++i) by_inv[i] = i;
-    std::sort(by_inv.begin(), by_inv.end(),
-              [this](std::size_t a, std::size_t b) {
-                return ops_[a].inv_index < ops_[b].inv_index;
-              });
-    std::vector<std::size_t> pred_count(n, 0);
-    std::size_t k = 0;
-    for (std::size_t i : by_inv) {
-      while (k < by_res.size() &&
-             *ops_[by_res[k]].res_index < ops_[i].inv_index) {
-        ++k;
-      }
-      pred_count[i] = k;
-    }
     // Successor bucket: how many distinct thresholds lie at or below the
     // op's response-sorted position (ops in the same bucket are
     // predecessors of exactly the same set of operations).
-    std::vector<std::size_t> thresholds(pred_count);
+    std::vector<std::size_t> thresholds(n);
+    for (std::size_t i = 0; i < n; ++i) thresholds[i] = index_.pred_count(i);
     std::sort(thresholds.begin(), thresholds.end());
     thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
                      thresholds.end());
@@ -229,35 +221,22 @@ class CalPolicy {
           std::upper_bound(thresholds.begin(), thresholds.end(), p) -
           thresholds.begin());
     };
-    // Group by (object, class, pred_count, bucket).
-    struct GroupKey {
-      std::uint32_t object;
-      std::uint64_t cls;
-      std::size_t preds;
-      std::size_t bucket;
-      bool operator==(const GroupKey&) const = default;
-    };
-    std::vector<std::pair<GroupKey, std::size_t>> found;  // key -> group idx
+    // Group by (object, class, pred_count, bucket), in first-seen order.
+    std::map<std::tuple<std::uint32_t, std::uint64_t, std::size_t,
+                        std::size_t>,
+             std::size_t>
+        group_of;
     std::vector<std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < n; ++i) {
       if (ops_[i].is_pending()) continue;
       const std::uint64_t cls =
           spec_.symmetry_class(ops_[i].op.object, ops_[i].op);
       if (cls == 0) continue;
-      const GroupKey key{ops_[i].op.object.id(), cls, pred_count[i],
-                         bucket(pos[i])};
-      std::size_t g = groups.size();
-      for (const auto& [fk, fg] : found) {
-        if (fk == key) {
-          g = fg;
-          break;
-        }
-      }
-      if (g == groups.size()) {
-        found.emplace_back(key, g);
-        groups.emplace_back();
-      }
-      groups[g].push_back(i);
+      const auto [it, fresh] = group_of.try_emplace(
+          {ops_[i].op.object.id(), cls, index_.pred_count(i), bucket(pos[i])},
+          groups.size());
+      if (fresh) groups.emplace_back();
+      groups[it->second].push_back(i);
     }
     grouped_mask_.assign((n + 63) / 64, 0);
     for (std::vector<std::size_t>& g : groups) {
@@ -267,15 +246,44 @@ class CalPolicy {
     }
   }
 
+  /// Buffers reused by every expansion at one depth.
+  struct Scratch {
+    std::vector<std::size_t> enabled;
+    std::vector<std::size_t> chosen;
+    std::vector<Operation> chosen_ops;
+  };
+
+  /// Enumerates the non-empty subsets of one object's candidates, largest
+  /// first (multi-operation CA-elements are the common witness shape for
+  /// CA-objects, e.g. exchanger swaps). False = the search asked to stop.
+  template <typename Fire>
+  bool fire_object(const Node& node, Symbol object,
+                   const std::vector<std::size_t>& candidates,
+                   Scratch& scratch, Fire& fire) {
+    const std::size_t cap =
+        spec_.max_element_size() == 0
+            ? candidates.size()
+            : std::min(spec_.max_element_size(), candidates.size());
+    for (std::size_t size = cap; size >= 1; --size) {
+      scratch.chosen.clear();
+      scratch.chosen_ops.clear();
+      if (!try_subsets(node, object, candidates, 0, size, scratch.chosen,
+                       scratch.chosen_ops, fire)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   /// False = the driver asked to stop (goal found / cancelled).
-  template <typename Emit>
+  template <typename Fire>
   bool try_subsets(const Node& node, Symbol object,
                    const std::vector<std::size_t>& candidates,
                    std::size_t from, std::size_t remaining,
                    std::vector<std::size_t>& chosen,
-                   std::vector<Operation>& chosen_ops, Emit& emit) {
+                   std::vector<Operation>& chosen_ops, Fire& fire) {
     if (remaining == 0) {
-      return fire(node, object, chosen, chosen_ops, emit);
+      return step_element(node, object, chosen, chosen_ops, fire);
     }
     for (std::size_t i = from; i + remaining <= candidates.size(); ++i) {
       chosen.push_back(candidates[i]);
@@ -285,7 +293,7 @@ class CalPolicy {
         bump(pruned_subsets_);
       } else {
         keep_going = try_subsets(node, object, candidates, i + 1,
-                                 remaining - 1, chosen, chosen_ops, emit);
+                                 remaining - 1, chosen, chosen_ops, fire);
       }
       chosen.pop_back();
       chosen_ops.pop_back();
@@ -307,10 +315,10 @@ class CalPolicy {
                         spec_.step(state, object, element_ops));
   }
 
-  template <typename Emit>
-  bool fire(const Node& node, Symbol object,
-            const std::vector<std::size_t>& chosen,
-            const std::vector<Operation>& element_ops, Emit& emit) {
+  template <typename Fire>
+  bool step_element(const Node& node, Symbol object,
+                    const std::vector<std::size_t>& chosen,
+                    const std::vector<Operation>& element_ops, Fire& fire) {
     std::size_t newly_completed = 0;
     for (std::size_t i : chosen) {
       if (!ops_[i].is_pending()) ++newly_completed;
@@ -320,7 +328,7 @@ class CalPolicy {
       bump(fired_elements_);
       Node next{sr.next, node.fired, node.fired_completed + newly_completed};
       for (std::size_t i : chosen) mask_set(next.fired, i);
-      if (!emit(std::move(next), CaElement(sr.element))) return false;
+      if (!fire(std::move(next), chosen, sr.element)) return false;
     }
     return true;
   }
@@ -334,6 +342,9 @@ class CalPolicy {
   std::vector<std::vector<std::size_t>> groups_;
   StateMask grouped_mask_;
   StepMemoFor<kShared, CaStepResult> memo_;
+  /// Per-depth scratch for the sequential search; a shared policy's
+  /// workers each use their own, per call.
+  std::vector<Scratch> scratch_;
   Counter<kShared> fired_elements_{0};
   Counter<kShared> pruned_subsets_{0};
   Counter<kShared> symmetry_merged_{0};

@@ -7,7 +7,6 @@
 
 #include "cal/engine/cal_policy.hpp"
 #include "cal/engine/search_engine.hpp"
-#include "cal/history_index.hpp"
 #include "cal/parallel/task_pool.hpp"
 
 namespace cal::engine {
@@ -15,37 +14,39 @@ namespace cal::engine {
 namespace {
 
 /// One window of the streaming search: the CAL policy over the *active*
-/// operations only (local indices), with two extensions — multiple roots
-/// (one per frontier entry, remembered in Node::root for witness stitching)
-/// and pending-return tracking (Node::pending_rets records the value the
-/// spec chose for each fired-while-pending operation, and participates in
-/// the node encoding so explanations differing only in a guess stay
-/// distinct). Goals — nodes with every completed active operation fired —
-/// are collect-mode sinks: their pending-only continuations stay reachable
-/// from them in the next window, so not expanding them loses nothing.
+/// operations only (local indices), keeping its goal test and successor
+/// enumeration, with two extensions — multiple roots (one per frontier
+/// entry, remembered in Node::root for witness stitching) and
+/// pending-return tracking (Node::pending_rets records the value the spec
+/// chose for each fired-while-pending operation, and participates in the
+/// node encoding so explanations differing only in a guess stay distinct).
+/// Goals — nodes with every completed active operation fired — are
+/// collect-mode sinks: their pending-only continuations stay reachable from
+/// them in the next window, so not expanding them loses nothing.
 template <bool kShared>
-class StreamPolicy {
+class StreamPolicy : public CalPolicy<kShared> {
+  using Base = CalPolicy<kShared>;
+
  public:
-  struct Node {
-    SpecState state;
-    StateMask fired;
-    std::size_t fired_completed;
+  struct Node : Base::Node {
     /// (local index, committed return) for fired pending ops, ascending.
     std::vector<std::pair<std::uint32_t, Value>> pending_rets;
     /// Index of the frontier entry this search state grew from (not part
     /// of the node identity — any root reaching a state explains it).
     std::uint32_t root;
   };
-  using Label = CaElement;
 
+  /// Pending operations are always candidates mid-stream, even with
+  /// complete_pending off: an operation pending *now* may complete later,
+  /// and the batch verdict (complete_pending=false) only excludes ops that
+  /// never complete. finish() discards explanations that fired one.
   StreamPolicy(const std::vector<OpRecord>& ops, const CaSpec& spec,
                const std::vector<FrontierEntry>& frontier,
                const std::unordered_map<std::size_t, std::size_t>& local_of)
-      : ops_(ops),
-        spec_(spec),
+      : Base(ops, spec, /*complete_pending=*/true),
+        ops_(ops),
         frontier_(frontier),
-        local_of_(local_of),
-        index_(ops) {}
+        local_of_(local_of) {}
 
   std::vector<Node> roots() const {
     const std::size_t words = (ops_.size() + 63) / 64;
@@ -53,7 +54,7 @@ class StreamPolicy {
     out.reserve(frontier_.size());
     for (std::uint32_t e = 0; e < frontier_.size(); ++e) {
       const FrontierEntry& fe = frontier_[e];
-      Node n{fe.state, StateMask(words, 0), 0, {}, e};
+      Node n{{fe.state, StateMask(words, 0), 0}, {}, e};
       for (std::size_t gid : fe.fired) {
         const std::size_t l = local_of_.at(gid);
         mask_set(n.fired, l);
@@ -71,10 +72,6 @@ class StreamPolicy {
     return out;
   }
 
-  bool is_goal(const Node& n) const {
-    return n.fired_completed == index_.completed();
-  }
-
   void encode(const Node& n, NodeKey& out) const {
     encode_state_and_masks(n.state, {&n.fired}, out);
     out.push_back(static_cast<std::int64_t>(n.pending_rets.size()));
@@ -84,118 +81,48 @@ class StreamPolicy {
     }
   }
 
-  void on_enter(const Node&, std::size_t) {}
-
   template <typename Emit>
-  void expand(const Node& node, std::size_t /*depth*/,
-              const std::vector<Label>& /*prefix*/, Emit&& emit) {
-    // Pending operations are always candidates mid-stream, even with
-    // complete_pending off: an operation pending *now* may complete later,
-    // and the batch verdict (complete_pending=false) only excludes ops
-    // that never complete. finish() discards explanations that fired one.
-    std::unordered_map<Symbol, std::vector<std::size_t>> by_object;
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      if (!index_.enabled(i, node.fired)) continue;
-      by_object[ops_[i].op.object].push_back(i);
-    }
-
-    std::vector<std::size_t> chosen;
-    std::vector<Operation> chosen_ops;
-    for (const auto& [object, candidates] : by_object) {
-      const std::size_t cap =
-          spec_.max_element_size() == 0
-              ? candidates.size()
-              : std::min(spec_.max_element_size(), candidates.size());
-      for (std::size_t size = cap; size >= 1; --size) {
-        chosen.clear();
-        chosen_ops.clear();
-        if (!try_subsets(node, object, candidates, 0, size, chosen,
-                         chosen_ops, emit)) {
-          return;
-        }
-      }
-    }
+  void expand(const Node& node, std::size_t depth,
+              const std::vector<typename Base::Label>& /*prefix*/,
+              Emit&& emit) {
+    this->successors(
+        node, depth,
+        [&](typename Base::Node&& fired,
+            const std::vector<std::size_t>& chosen, const CaElement& element) {
+          Node next{std::move(fired), node.pending_rets, node.root};
+          commit_pending_returns(next, chosen, element);
+          return emit(std::move(next), &element);
+        });
   }
 
  private:
-  template <typename Emit>
-  bool try_subsets(const Node& node, Symbol object,
-                   const std::vector<std::size_t>& candidates,
-                   std::size_t from, std::size_t remaining,
-                   std::vector<std::size_t>& chosen,
-                   std::vector<Operation>& chosen_ops, Emit& emit) {
-    if (remaining == 0) {
-      return fire(node, object, chosen, chosen_ops, emit);
-    }
-    for (std::size_t i = from; i + remaining <= candidates.size(); ++i) {
-      chosen.push_back(candidates[i]);
-      chosen_ops.push_back(ops_[candidates[i]].op);
-      bool keep_going = true;
-      if (spec_.compatible(object, chosen_ops)) {
-        keep_going = try_subsets(node, object, candidates, i + 1,
-                                 remaining - 1, chosen, chosen_ops, emit);
-      }
-      chosen.pop_back();
-      chosen_ops.pop_back();
-      if (!keep_going) return false;
-    }
-    return true;
-  }
-
-  const std::vector<CaStepResult>& stepped(
-      const SpecState& state, Symbol object,
-      const std::vector<std::size_t>& chosen,
-      const std::vector<Operation>& element_ops) {
-    StepKey key;
-    encode_cal_step_key(state, object, chosen, key);
-    if (const auto* cached = memo_.find(key)) return *cached;
-    return memo_.insert(std::move(key),
-                        spec_.step(state, object, element_ops));
-  }
-
-  template <typename Emit>
-  bool fire(const Node& node, Symbol object,
-            const std::vector<std::size_t>& chosen,
-            const std::vector<Operation>& element_ops, Emit& emit) {
-    std::size_t newly_completed = 0;
+  /// Commits to the return values the spec chose for the element's pending
+  /// participants (matched by thread: co-fired operations overlap in real
+  /// time, so their threads are distinct).
+  void commit_pending_returns(Node& next,
+                              const std::vector<std::size_t>& chosen,
+                              const CaElement& element) const {
     for (std::size_t i : chosen) {
-      if (!ops_[i].is_pending()) ++newly_completed;
-    }
-    for (const CaStepResult& sr :
-         stepped(node.state, object, chosen, element_ops)) {
-      Node next{sr.next, node.fired, node.fired_completed + newly_completed,
-                node.pending_rets, node.root};
-      for (std::size_t i : chosen) mask_set(next.fired, i);
-      // Commit to the return values the spec chose for pending
-      // participants (matched by thread: co-fired operations overlap in
-      // real time, so their threads are distinct).
-      for (std::size_t i : chosen) {
-        if (!ops_[i].is_pending()) continue;
-        for (const Operation& op : sr.element.ops()) {
-          if (op.tid != ops_[i].op.tid || !op.ret.has_value()) continue;
-          const auto entry =
-              std::make_pair(static_cast<std::uint32_t>(i), *op.ret);
-          next.pending_rets.insert(
-              std::upper_bound(next.pending_rets.begin(),
-                               next.pending_rets.end(), entry,
-                               [](const auto& a, const auto& b) {
-                                 return a.first < b.first;
-                               }),
-              entry);
-          break;
-        }
+      if (!ops_[i].is_pending()) continue;
+      for (const Operation& op : element.ops()) {
+        if (op.tid != ops_[i].op.tid || !op.ret.has_value()) continue;
+        const auto entry =
+            std::make_pair(static_cast<std::uint32_t>(i), *op.ret);
+        next.pending_rets.insert(
+            std::upper_bound(next.pending_rets.begin(),
+                             next.pending_rets.end(), entry,
+                             [](const auto& a, const auto& b) {
+                               return a.first < b.first;
+                             }),
+            entry);
+        break;
       }
-      if (!emit(std::move(next), CaElement(sr.element))) return false;
     }
-    return true;
   }
 
   const std::vector<OpRecord>& ops_;
-  const CaSpec& spec_;
   const std::vector<FrontierEntry>& frontier_;
   const std::unordered_map<std::size_t, std::size_t>& local_of_;
-  HistoryIndex index_;
-  StepMemoFor<kShared, CaStepResult> memo_;
 };
 
 }  // namespace
@@ -291,9 +218,7 @@ void IncrementalChecker::finish() {
 }
 
 std::optional<CaTrace> IncrementalChecker::witness() const {
-  if (!status_.ok || !options_.track_witness || frontier_.empty()) {
-    return std::nullopt;
-  }
+  if (!status_.ok || frontier_.empty()) return std::nullopt;
   return CaTrace(frontier_.front().witness);
 }
 
@@ -347,8 +272,9 @@ void IncrementalChecker::check_window() {
   sopts.exact_visited = options_.exact_visited;
 
   std::vector<FrontierEntry> next;
-  const auto sink = [&](const auto& node, const std::vector<CaElement>&
-                                              prefix) {
+  const auto sink = [&](const auto& node,
+                        const std::vector<const CaElement*>& prefix,
+                        std::uint64_t) {
     FrontierEntry entry;
     entry.state = node.state;
     for (std::size_t l = 0; l < active.size(); ++l) {
@@ -358,11 +284,8 @@ void IncrementalChecker::check_window() {
     for (const auto& [l, v] : node.pending_rets) {
       entry.pending_rets.emplace_back(active[l], v);
     }
-    if (options_.track_witness) {
-      entry.witness = frontier_[node.root].witness;
-      entry.witness.insert(entry.witness.end(), prefix.begin(),
-                           prefix.end());
-    }
+    entry.witness = frontier_[node.root].witness;
+    for (const CaElement* element : prefix) entry.witness.push_back(*element);
     next.push_back(std::move(entry));
   };
 

@@ -68,9 +68,6 @@ struct IncrementalOptions {
   std::size_t threads = 1;
   /// Exact stored-key dedup instead of 128-bit fingerprints.
   bool exact_visited = false;
-  /// Carry a full witness trace in every frontier entry (off saves the
-  /// copying on long runs; witness() is then unavailable).
-  bool track_witness = true;
 };
 
 struct IncrementalStatus {
@@ -108,7 +105,7 @@ struct FrontierEntry {
   /// Return values committed to for fired-while-pending operations,
   /// ascending by global id (a subset of `fired`).
   std::vector<std::pair<std::size_t, Value>> pending_rets;
-  /// Fired CA-elements from the start of the stream (when track_witness).
+  /// Fired CA-elements from the start of the stream.
   std::vector<CaElement> witness;
 };
 
@@ -134,8 +131,8 @@ class IncrementalChecker {
     return status_;
   }
 
-  /// On acceptance (after finish(), with track_witness): a witness trace
-  /// explaining every completed operation of the stream.
+  /// On acceptance (after finish()): a witness trace explaining every
+  /// completed operation of the stream.
   [[nodiscard]] std::optional<CaTrace> witness() const;
 
  private:

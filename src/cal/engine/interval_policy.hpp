@@ -85,10 +85,14 @@ class IntervalPolicy {
     // of the object plus any newly starting ones.
     std::unordered_map<Symbol, std::vector<std::size_t>> startable;
     std::unordered_map<Symbol, std::vector<std::size_t>> open_by_object;
+    // An operation may start when every completed real-time predecessor
+    // has *closed* (its response precedes our invocation in any
+    // explanation).
+    const std::size_t closed = index_.fired_prefix(node.closed);
     for (std::size_t i = 0; i < ops_.size(); ++i) {
       if (mask_test(node.open, i)) {
         open_by_object[ops_[i].op.object].push_back(i);
-      } else if (may_start(i, node)) {
+      } else if (index_.enabled(i, node.closed, closed)) {
         if (ops_[i].is_pending() && !complete_pending_) continue;
         startable[ops_[i].op.object].push_back(i);
       }
@@ -141,16 +145,6 @@ class IntervalPolicy {
   }
 
  private:
-  // An operation may start when every completed real-time predecessor has
-  // *closed* (its response precedes our invocation in any explanation).
-  bool may_start(std::size_t i, const Node& node) const {
-    if (mask_test(node.closed, i) || mask_test(node.open, i)) return false;
-    for (std::size_t j : index_.preds(i)) {
-      if (!mask_test(node.closed, j)) return false;
-    }
-    return true;
-  }
-
   /// spec_.round through the memo. The participants' op indices plus their
   /// (starts, ends) flags pin the query exactly — the round's outcome
   /// never depends on the round number or the masks. The returned

@@ -1,5 +1,5 @@
-// Shared plumbing of the engine policies (engine/{cal,lin,interval}_policy
-// and the explorer's policy in sched/explorer.cpp).
+// Shared plumbing of the engine policies (engine/{cal,interval}_policy,
+// incremental.cpp's StreamPolicy and sched/explorer.cpp's ExplorePolicy).
 //
 // Each of these policies is a template over `bool kShared`: the false
 // instantiation is what the sequential driver runs (plain counters, the

@@ -1,11 +1,11 @@
 // The unified search core behind every checker in this library.
 //
-// CalChecker (Def. 5/6 membership), LinChecker (Wing–Gong), the interval
-// checker, and sched::Explorer's state-space walk are all the same
-// algorithm: a depth-first search over policy-defined nodes with
-// deduplication on a flat int64 encoding, an optional node cap, and either
-// a *first goal wins* (accept) or a *collect every goal* (collect) result
-// discipline. What differs per checker — node layout, successor
+// CalChecker (Def. 5/6 membership; LinChecker is it over SeqAsCaSpec), the
+// streaming window search, the interval checker, and sched::Explorer's
+// state-space walk are all the same algorithm: a depth-first search over
+// policy-defined nodes with deduplication on a flat int64 encoding, an
+// optional node cap, and either a *first goal wins* (accept) or a *collect
+// every goal* (collect) result discipline. What differs per checker — node layout, successor
 // generation, spec-step memoization — lives in a Policy; what is shared —
 // the DFS drivers (sequential and work-stealing parallel), the visited
 // set, the cap/exhaustion bookkeeping, and the witness stack — lives here.
@@ -48,7 +48,8 @@
 //     in the sequential DFS order; a stopping report cancels only work
 //     ranked after it, and reports() are returned in rank order up to the
 //     lowest-ranked stop — equal to the sequential reports whenever dedup
-//     is off. Accept mode keeps its first-published witness.
+//     is off; collect-mode goals reach the sink with their rank. Accept
+//     mode keeps its first-published witness.
 //
 // Node-entry ordering (load-bearing for drop-in compatibility):
 //   accept mode:  cancelled? → goal? → cap? → dedup insert → expand
@@ -159,7 +160,9 @@ class SequentialSearch {
   }
 
   /// Collect mode: visits every node, feeding each goal (with the label
-  /// path from its root) to `sink(const Node&, const std::vector<Label>&)`.
+  /// path from its root) to `sink(const Node&, const std::vector<Label>&,
+  /// std::uint64_t rank)`. Goals sorted stably by rank are in DFS order;
+  /// SequentialSearch calls in that order, with rank 0.
   template <typename Sink>
   SearchStats run_collect(Sink&& sink) {
     for (Node& root : policy_.roots()) {
@@ -238,7 +241,7 @@ class SequentialSearch {
     if (!enter(node)) return;
     ++entered_;
     if (policy_.is_goal(node)) {
-      sink(node, prefix_);
+      sink(node, prefix_, std::uint64_t{0});
       return;
     }
     policy_.expand(node, depth, prefix_,
@@ -298,6 +301,8 @@ class ParallelSearch {
     return stats;
   }
 
+  /// As SequentialSearch::run_collect; sink calls are serialized, and the
+  /// goals of one rank (one task) arrive in DFS order.
   template <typename Sink>
   SearchStats run_collect(Sink&& sink) {
     drive([this, &sink](Node&& root, std::vector<Label>&& prefix,
@@ -470,7 +475,7 @@ class ParallelSearch {
     if (!options_.dedup) entered_.fetch_add(1, std::memory_order_relaxed);
     if (policy_.is_goal(node)) {
       std::lock_guard<std::mutex> lock(result_mutex_);
-      sink(node, prefix);
+      sink(node, prefix, rank);
       return;
     }
     std::size_t ordinal = 0;  // reported successors take one too

@@ -1,12 +1,13 @@
-// Per-history search index shared by the three checkers: real-time
-// predecessor lists, the completed count, and the fired-mask helpers.
+// Per-history search index shared by the checker policies: real-time
+// predecessor prefixes, the completed count, and the fired-mask helpers.
 //
 // The predecessors of operation i are exactly the completed operations
 // whose response precedes i's invocation (Def. 3). Sorting the completed
 // operations by response index makes each predecessor list a *prefix* of
 // one shared order: a single sweep over the operations in invocation order
 // assigns every i its prefix length. Construction is O(n log n) and the
-// index stores O(n) words, replacing the old all-pairs O(n²) scan.
+// index stores O(n) words. Given a node's fired prefix of that order,
+// enabledness is O(1) per operation.
 #pragma once
 
 #include <algorithm>
@@ -63,21 +64,44 @@ class HistoryIndex {
       }
       pred_count_[i] = k;
     }
-  }
-
-  /// Real-time predecessors of operation i, as indices into the checker's
-  /// operation array (a prefix of the response-sorted order).
-  [[nodiscard]] std::span<const std::size_t> preds(std::size_t i) const {
-    return {by_res_.data(), pred_count_[i]};
-  }
-
-  /// True iff i is unfired and every real-time predecessor has fired.
-  [[nodiscard]] bool enabled(std::size_t i, const StateMask& mask) const {
-    if (mask_test(mask, i)) return false;
-    for (std::size_t j : preds(i)) {
-      if (!mask_test(mask, j)) return false;
+    // scan_end_[k]: one past the last index whose predecessors fit in k.
+    scan_end_.assign(by_res_.size() + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) scan_end_[pred_count_[i]] = i + 1;
+    for (k = 1; k < scan_end_.size(); ++k) {
+      scan_end_[k] = std::max(scan_end_[k], scan_end_[k - 1]);
     }
-    return true;
+  }
+
+  /// Completed operations in response order; operation i's real-time
+  /// predecessors are its first pred_count(i).
+  [[nodiscard]] std::span<const std::size_t> by_response() const {
+    return by_res_;
+  }
+  [[nodiscard]] std::size_t pred_count(std::size_t i) const {
+    return pred_count_[i];
+  }
+
+  /// How many leading by_response() operations `mask` has fired; computed
+  /// once per search node.
+  [[nodiscard]] std::size_t fired_prefix(const StateMask& mask) const {
+    std::size_t k = 0;
+    while (k < by_res_.size() && mask_test(mask, by_res_[k])) ++k;
+    return k;
+  }
+
+  /// True iff i is unfired and every real-time predecessor has fired, where
+  /// `prefix` is fired_prefix(mask): predecessors form a prefix of the
+  /// response order, so they have all fired iff they fit inside it.
+  [[nodiscard]] bool enabled(std::size_t i, const StateMask& mask,
+                             std::size_t prefix) const {
+    return !mask_test(mask, i) && pred_count_[i] <= prefix;
+  }
+
+  /// Every operation enabled under `prefix` has an index below this bound,
+  /// which is tight for operations in invocation order (as
+  /// History::operations() lists them).
+  [[nodiscard]] std::size_t scan_end(std::size_t prefix) const {
+    return scan_end_[prefix];
   }
 
   [[nodiscard]] std::size_t completed() const noexcept { return completed_; }
@@ -85,6 +109,7 @@ class HistoryIndex {
  private:
   std::vector<std::size_t> by_res_;    ///< completed ops, by response index
   std::vector<std::size_t> pred_count_;
+  std::vector<std::size_t> scan_end_;
   std::size_t completed_ = 0;
 };
 

@@ -1,55 +1,50 @@
 #include "cal/lin_checker.hpp"
 
-#include <utility>
+#include <memory>
 
-#include "cal/engine/lin_policy.hpp"
-#include "cal/engine/search_engine.hpp"
-#include "cal/parallel/task_pool.hpp"
+#include "cal/cal_checker.hpp"
 
 namespace cal {
 
 namespace {
 
-template <bool kShared, typename Driver>
-LinCheckResult collect_result(Driver& driver,
-                              engine::LinPolicy<kShared>& policy) {
-  const engine::SearchStats stats = driver.run();
-  LinCheckResult result;
-  result.ok = stats.found;
-  result.exhausted = stats.exhausted;
-  result.visited_states = stats.visited_states;
-  result.visited_bytes = stats.visited_bytes;
-  result.step_cache_hits = policy.step_cache_hits();
-  result.step_cache_misses = policy.step_cache_misses();
-  if (result.ok) result.witness = driver.witness();
+/// CalChecker over a non-owning singleton adapter of `spec`, with the
+/// singleton witness read back as a linearization.
+template <typename Input>
+LinCheckResult check_via_cal(const SequentialSpec& spec,
+                             const LinCheckOptions& o, const Input& input) {
+  const SeqAsCaSpec adapter(
+      std::shared_ptr<const SequentialSpec>(std::shared_ptr<void>(), &spec));
+  const CalCheckResult r =
+      CalChecker(adapter, {.max_visited = o.max_visited,
+                           .complete_pending = o.complete_pending,
+                           .threads = o.threads,
+                           .exact_visited = o.exact_visited})
+          .check(input);
+  LinCheckResult result{.ok = r.ok,
+                        .exhausted = r.exhausted,
+                        .witness = std::nullopt,
+                        .visited_states = r.visited_states,
+                        .visited_bytes = r.visited_bytes,
+                        .step_cache_hits = r.step_cache_hits,
+                        .step_cache_misses = r.step_cache_misses};
+  if (r.witness) {
+    result.witness.emplace().reserve(r.witness->size());
+    for (const CaElement& element : r.witness->elements()) {
+      result.witness->push_back(element.ops().front());
+    }
+  }
   return result;
 }
 
 }  // namespace
 
 LinCheckResult LinChecker::check(const std::vector<OpRecord>& ops) const {
-  engine::SearchOptions sopts;
-  sopts.max_visited = options_.max_visited;
-  sopts.exact_visited = options_.exact_visited;
-  const std::size_t threads = par::resolve_threads(options_.threads);
-  if (threads > 1) {
-    engine::LinPolicy<true> policy(ops, spec_, options_.complete_pending);
-    engine::ParallelSearch<engine::LinPolicy<true>> driver(policy, sopts,
-                                                           threads);
-    return collect_result(driver, policy);
-  }
-  engine::LinPolicy<false> policy(ops, spec_, options_.complete_pending);
-  engine::SequentialSearch<engine::LinPolicy<false>> driver(policy, sopts);
-  return collect_result(driver, policy);
+  return check_via_cal(spec_, options_, ops);
 }
 
 LinCheckResult LinChecker::check(const History& history) const {
-  if (!history.well_formed()) {
-    LinCheckResult r;
-    r.ok = false;
-    return r;
-  }
-  return check(history.operations());
+  return check_via_cal(spec_, options_, history);
 }
 
 }  // namespace cal

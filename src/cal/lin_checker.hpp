@@ -4,10 +4,10 @@
 // This is the notion CAL generalizes (§3 of the paper): a history is
 // linearizable w.r.t. a sequential spec iff some completion can be explained
 // by a *sequential* history — equivalently, iff it is CAL w.r.t. the
-// degenerate CA-spec whose elements are all singletons. The dedicated
-// implementation here avoids the subset machinery of the CAL checker and
-// serves as the baseline in the checker benchmarks; tests cross-validate it
-// against CalChecker + SeqAsCaSpec on random histories.
+// degenerate CA-spec whose elements are all singletons. That is how it is
+// decided: LinChecker runs CalChecker over SeqAsCaSpec(spec) and returns
+// the singleton witness as a linearization. Tests check both against a
+// brute-force enumeration of linearizations on small random histories.
 #pragma once
 
 #include <cstddef>
@@ -20,19 +20,11 @@
 
 namespace cal {
 
+/// The CalCheckOptions fields of the same names.
 struct LinCheckOptions {
   std::size_t max_visited = 0;  ///< 0 = unlimited
   bool complete_pending = true;
-  /// Worker threads for the search (1 = the sequential engine, bit-for-bit
-  /// the historical behavior including the witness; 0 = one per hardware
-  /// thread). Parallel runs share the engine's striped-lock dedup table
-  /// and cancel cooperatively on the first witness: the verdict is
-  /// identical to the sequential one, but the witness may be any (valid)
-  /// witness and `visited_states` may vary slightly from run to run.
-  std::size_t threads = 1;
-  /// Deduplicate visited nodes by their full encodings instead of the
-  /// default 128-bit fingerprints (cal/fingerprint.hpp, ~2^-64 per-pair
-  /// false-prune risk).
+  std::size_t threads = 1;  ///< 1 = sequential; 0 = one per hardware thread
   bool exact_visited = false;
 };
 
@@ -41,11 +33,9 @@ struct LinCheckResult {
   bool exhausted = false;
   /// On success: a witness linearization (sequence of completed operations).
   std::optional<std::vector<Operation>> witness;
+  /// The CalCheckResult counters of the same names.
   std::size_t visited_states = 0;
-  /// Peak footprint of the visited set.
   std::size_t visited_bytes = 0;
-  /// Spec-step memoization (cal/step_cache.hpp): transition sets served
-  /// from the per-search cache vs computed by SequentialSpec::step.
   std::size_t step_cache_hits = 0;
   std::size_t step_cache_misses = 0;
 

@@ -1,5 +1,6 @@
 #include "sched/explorer.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
@@ -7,7 +8,6 @@
 #include <sstream>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "cal/engine/incremental.hpp"
@@ -386,23 +386,47 @@ class ExplorePolicy {
   engine::Counter<kShared> retired_max_{0};
 };
 
+/// Distinct terminal histories, each kept from its first terminal in
+/// (rank, arrival) order: the sequential DFS order at any pool size.
+struct TerminalLog {
+  struct Terminal {
+    std::pair<std::uint64_t, std::size_t> order;  // (rank, arrival)
+    History history;
+    CaTrace trace;
+  };
+  std::vector<Terminal> kept;
+  std::unordered_map<std::vector<std::int64_t>, std::size_t, KeyHash> seen;
+
+  void add(std::uint64_t rank, std::size_t arrival, const World& world) {
+    const std::pair order{rank, arrival};
+    const auto [it, fresh] =
+        seen.try_emplace(encode_history(world.history()), kept.size());
+    if (fresh || order < kept[it->second].order) {
+      Terminal t{order, world.history(), world.trace()};
+      if (fresh) kept.push_back(std::move(t));
+      else kept[it->second] = std::move(t);
+    }
+  }
+};
+
 /// Runs one exploration of `policy` on `search` (either driver).
 template <typename Policy, typename Search>
 ExploreResult explore(Policy& policy, Search& search,
                       bool collect_terminals) {
   ExploreResult result;
-  std::unordered_set<std::vector<std::int64_t>, KeyHash> seen_histories;
+  TerminalLog terminals;
   engine::SearchStats stats = search.run_collect(
-      [&](const typename Policy::Node& node,
-          const std::vector<ScheduleStep>&) {
-        ++result.terminals;
-        if (!collect_terminals) return;
-        auto key = encode_history(node.world.history());
-        if (seen_histories.insert(std::move(key)).second) {
-          result.histories.push_back(node.world.history());
-          result.traces.push_back(node.world.trace());
-        }
+      [&](const typename Policy::Node& node, const std::vector<ScheduleStep>&,
+          std::uint64_t rank) {
+        const std::size_t arrival = result.terminals++;
+        if (collect_terminals) terminals.add(rank, arrival, node.world);
       });
+  std::sort(terminals.kept.begin(), terminals.kept.end(),
+            [](const auto& a, const auto& b) { return a.order < b.order; });
+  for (TerminalLog::Terminal& t : terminals.kept) {
+    result.histories.push_back(std::move(t.history));
+    result.traces.push_back(std::move(t.trace));
+  }
 
   result.states = stats.visited_states;
   result.merged = stats.dedup_hits;

@@ -22,9 +22,10 @@
 // schedule steps are labels, terminal states are goals, violations are
 // reports. ExploreOptions::threads picks the driver: the sequential DFS or
 // the work-stealing parallel one, whose rank rule keeps the reported
-// violations in sequential DFS order. With `check_spec` set, every
-// collected terminal history is additionally checked for CAL membership by
-// the streaming checker (cal/engine/incremental.hpp) as a post-pass.
+// violations and collected terminals in sequential DFS order. With
+// `check_spec` set, every collected terminal history is additionally
+// checked for CAL membership by the streaming checker
+// (cal/engine/incremental.hpp) as a post-pass.
 #pragma once
 
 #include <iosfwd>
@@ -68,7 +69,9 @@ struct ExploreOptions {
   /// sequential DFS order, so without merge_states the reported ones —
   /// the first, or all in order — equal the sequential engine's; under
   /// merge_states the winning *schedule* can differ (it is always a real,
-  /// replayable counterexample).
+  /// replayable counterexample). Collected terminals are ranked the same
+  /// way, so without merge_states `histories` (and the `history i` numbers
+  /// of check_failures) keep the sequential order too.
   std::size_t threads = 1;
   /// When set (together with collect_terminals), every collected terminal
   /// history is checked for CAL membership against this spec with the
@@ -150,7 +153,7 @@ struct ExploreResult {
   /// OR of World::events() over every reached state (reachability beacons).
   std::uint64_t events = 0;
   std::vector<ScheduleViolation> violations;
-  std::vector<History> histories;  ///< unique terminal histories
+  std::vector<History> histories;  ///< unique terminal histories, DFS order
   std::vector<CaTrace> traces;     ///< final raw 𝒯 per collected history
   /// With ExploreOptions::check_spec: streaming-checker verdict for each
   /// entry of `histories` (same indexing).

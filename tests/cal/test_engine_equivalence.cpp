@@ -18,7 +18,9 @@
 #include "cal/specs/exchanger_spec.hpp"
 #include "cal/specs/stack_spec.hpp"
 #include "cal/specs/sync_queue_spec.hpp"
+#include "cal/specs/queue_spec.hpp"
 #include "corpus.hpp"
+#include "lin_oracle.hpp"
 
 namespace cal {
 namespace {
@@ -153,16 +155,29 @@ TEST_P(LinEngineSeeds, GarbageStackRuns) {
 }
 
 TEST_P(LinEngineSeeds, AgreesWithCalOverAdapter) {
-  // Lin(S) and CAL(SeqAsCa(S)) decide the same membership problem; the
-  // two policies must agree through the shared engine.
+  // LinChecker runs CalChecker over SeqAsCaSpec, so the two are checked
+  // against an independent brute-force oracle instead of each other, on
+  // one and two search threads.
   std::mt19937 rng(GetParam() + 200);
-  auto stack = std::make_shared<StackSpec>(kS);
-  SeqAsCaSpec adapter(stack);
-  for (int round = 0; round < 3; ++round) {
-    const History h = garbage_stack_history(rng, 6);
-    const bool lin = static_cast<bool>(LinChecker(*stack).check(h));
-    const bool cal = static_cast<bool>(CalChecker(adapter).check(h));
-    EXPECT_EQ(lin, cal) << h.to_string();
+  const auto stack = std::make_shared<StackSpec>(kS);
+  const auto queue = std::make_shared<QueueSpec>(kQ);
+  const ContainerMethods stack_methods{kS, Symbol{"push"}, Symbol{"pop"}};
+  const ContainerMethods queue_methods{kQ, Symbol{"enq"}, Symbol{"deq"}};
+  for (int round = 0; round < 4; ++round) {
+    const bool legal = round % 2 == 0;
+    const bool truncate = round >= 2;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      expect_checkers_match_oracle(
+          stack,
+          random_container_history(rng, *stack, stack_methods, legal,
+                                   truncate),
+          threads);
+      expect_checkers_match_oracle(
+          queue,
+          random_container_history(rng, *queue, queue_methods, legal,
+                                   truncate),
+          threads);
+    }
   }
 }
 

@@ -300,17 +300,6 @@ TEST(IncrementalEdgeCases, WindowSearchCapReportsExhausted) {
   EXPECT_NE(inc.status().reason.find("exhausted"), std::string::npos);
 }
 
-TEST(IncrementalEdgeCases, TrackWitnessOffStillDecides) {
-  ExchangerSpec spec(kE, kEx);
-  IncrementalOptions opts;
-  opts.track_witness = false;
-  IncrementalChecker inc(spec, opts);
-  inc.push(wide_overlap_history(5, false));
-  inc.finish();
-  EXPECT_TRUE(inc.ok());
-  EXPECT_FALSE(inc.witness().has_value());
-}
-
 // ---------------------------------------------------------------------------
 // Live streaming from the runtime recorder: a cursor feeds the checker
 // while worker threads are still publishing.

@@ -2,10 +2,13 @@
 // CAL (a history is linearizable iff CAL w.r.t. the singleton adapter).
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "cal/cal_checker.hpp"
 #include "cal/lin_checker.hpp"
 #include "cal/specs/queue_spec.hpp"
 #include "cal/specs/stack_spec.hpp"
+#include "lin_oracle.hpp"
 
 namespace cal {
 namespace {
@@ -179,6 +182,67 @@ TEST(LinChecker, CrossValidatesWithCalCheckerOnSingletonAdapter) {
               static_cast<bool>(cal.check(h)))
         << h.to_string();
   }
+}
+
+TEST(LinOracle, DecidesHandPickedHistories) {
+  const StackSpec spec(Symbol{"S"});
+  EXPECT_TRUE(brute_force_linearizable(spec, History{}));
+  // pop returns a value pushed strictly earlier: linearizable.
+  EXPECT_TRUE(brute_force_linearizable(
+      spec, HistoryBuilder()
+                .op(1, "S", "push", iv(1), Value::boolean(true))
+                .op(2, "S", "pop", Value::unit(), Value::pair(true, 1))
+                .history()));
+  // pop returns a value nobody pushed.
+  EXPECT_FALSE(brute_force_linearizable(
+      spec, HistoryBuilder()
+                .op(1, "S", "push", iv(1), Value::boolean(true))
+                .op(2, "S", "pop", Value::unit(), Value::pair(true, 2))
+                .history()));
+  // pop precedes the push it returns in real time.
+  EXPECT_FALSE(brute_force_linearizable(
+      spec, HistoryBuilder()
+                .op(2, "S", "pop", Value::unit(), Value::pair(true, 1))
+                .op(1, "S", "push", iv(1), Value::boolean(true))
+                .history()));
+  // A pending push explains the pop only when it may be completed.
+  const History pending = HistoryBuilder()
+                              .call(1, "S", "push", iv(1))
+                              .op(2, "S", "pop", Value::unit(),
+                                  Value::pair(true, 1))
+                              .history();
+  EXPECT_TRUE(brute_force_linearizable(spec, pending, true));
+  EXPECT_FALSE(brute_force_linearizable(spec, pending, false));
+}
+
+TEST(LinOracle, CheckersMatchOnRandomContainerHistories) {
+  // Stack and queue histories of up to kMaxOracleOps operations: legal and
+  // random returns, complete and cut short. Both verdicts must occur, so
+  // agreement is not vacuous.
+  std::mt19937 rng(2014);
+  const Symbol s{"S"};
+  const Symbol q{"Q"};
+  const auto stack = std::make_shared<StackSpec>(s);
+  const auto queue = std::make_shared<QueueSpec>(q);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 200; ++round) {
+    const bool legal = round % 2 == 0;
+    const bool truncate = round % 4 >= 2;
+    const bool on_stack = round % 8 < 4;
+    const History h =
+        on_stack ? random_container_history(
+                       rng, *stack, {s, Symbol{"push"}, Symbol{"pop"}}, legal,
+                       truncate)
+                 : random_container_history(
+                       rng, *queue, {q, Symbol{"enq"}, Symbol{"deq"}}, legal,
+                       truncate);
+    const bool ok = on_stack ? expect_checkers_match_oracle(stack, h)
+                             : expect_checkers_match_oracle(queue, h);
+    ++(ok ? accepted : rejected);
+  }
+  EXPECT_GT(accepted, 40u);
+  EXPECT_GT(rejected, 40u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // verdicts at threads ∈ {1, 2, 8} on the exchanger and elimination-stack
 // model-checking workloads, equal state/terminal/transition counts on
 // clean explorations, violations reported in the sequential order, and
-// identical terminal-history sets in enumerating mode.
+// identical terminal-history lists, in order, in enumerating mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,6 +124,28 @@ TEST(ParallelExplorerEquivalence, TerminalHistorySetsMatch) {
   ASSERT_FALSE(seq.empty());
   EXPECT_EQ(seq, collect_sorted(2));
   EXPECT_EQ(seq, collect_sorted(8));
+}
+
+TEST(ParallelExplorerEquivalence, TerminalHistoriesFollowTheSequentialOrder) {
+  // Collected terminals are ranked like violations, so without state
+  // merging the parallel history list equals the sequential one in order
+  // (and with it the "history i" numbering of check_failures).
+  ExploreOptions opts;
+  opts.merge_states = false;
+  opts.collect_terminals = true;
+  auto collect = [&](std::size_t pool) {
+    const ExploreResult r = explore(pool, 2, 1, opts, false, /*record=*/true);
+    std::vector<std::string> out;
+    out.reserve(r.histories.size());
+    for (const History& h : r.histories) out.push_back(h.to_string());
+    EXPECT_EQ(r.traces.size(), r.histories.size());
+    return out;
+  };
+  const auto seq = collect(1);
+  ASSERT_GT(seq.size(), 1u);
+  for (std::size_t pool : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    EXPECT_EQ(collect(pool), seq) << "pool=" << pool;
+  }
 }
 
 /// Flags an invariant violation at every terminal state — a deterministic,
