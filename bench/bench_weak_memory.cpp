@@ -238,13 +238,12 @@ void BM_WeakMemory_Explore_Exchanger(benchmark::State& state) {
                                          : sched::MemoryModel::kTso;
   cal::ExchangerSpec spec(Symbol{"E"}, Symbol{"exchange"});
   sched::WorldConfig cfg = exchanger_config(&spec, 3);
+  cfg.memory_model = model;
   sched::ExploreResult r;
   for (auto _ : state) {
     std::vector<std::unique_ptr<sched::SimObject>> objects;
     objects.push_back(std::make_unique<sched::SimExchanger>(Symbol{"E"}));
-    sched::ExploreOptions opts;
-    opts.memory_model = model;
-    sched::Explorer ex(cfg, std::move(objects), opts);
+    sched::Explorer ex(cfg, std::move(objects));
     r = ex.run();
     benchmark::DoNotOptimize(r.states);
   }
@@ -310,14 +309,13 @@ void BM_WeakMemory_Explore_SbLitmus(benchmark::State& state) {
   cfg.record_trace = true;
   cfg.heap_cells = 4;
   cfg.global_cells = 4;
+  cfg.memory_model = model;
   sched::ExploreResult r;
   for (auto _ : state) {
     std::vector<std::unique_ptr<sched::SimObject>> objects;
     objects.push_back(
         std::make_unique<SimStoreBuffering>(Symbol{"L"}, order));
-    sched::ExploreOptions opts;
-    opts.memory_model = model;
-    sched::Explorer ex(cfg, std::move(objects), opts);
+    sched::Explorer ex(cfg, std::move(objects));
     r = ex.run();
     benchmark::DoNotOptimize(r.states);
   }

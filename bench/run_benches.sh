@@ -19,6 +19,13 @@
 #     counts (bench_weak_memory) → BENCH_weak_memory.json
 #   * reclaim: T-RECLAIM — the reclamation axis: ebr/hp/tagged backends head-to-head
 #     on the Treiber-stack churn path (bench_reclaim) → BENCH_reclaim.json
+#   * par: T-PAR — the explorer's parallel driver at jobs {1, 2, 4}, wall
+#     time (bench_model_check, BM_Explore_Exchanger_Parallel)
+#     → BENCH_parallel_explore.json
+#
+# The contention and scaling series (wmm, reclaim, par) measure threads
+# against each other, which one CPU cannot show: the script refuses to
+# write them unless google-benchmark's context reports num_cpus >= 2.
 #
 # Benches are built (and, when missing, configured) in a dedicated Release
 # tree: every checked-in number must come from optimized code, and each
@@ -32,7 +39,7 @@
 #
 # Environment overrides:
 #   SERIES         space-separated names of the series above to build and
-#                  run (default: all seven). Only their bench targets are
+#                  run (default: all eight). Only their bench targets are
 #                  built and only their BENCH_*.json files are rewritten,
 #                  e.g. SERIES="reclaim pq" bench/run_benches.sh
 #   BUILD_DIR      build tree containing the bench binaries (default:
@@ -70,6 +77,10 @@
 #                  BM_Reclaim — all three backends on the stack churn)
 #   RECLAIM_OUT    reclamation output JSON path (default:
 #                  BENCH_reclaim.json in the repo root)
+#   PAR_FILTER     parallel-explorer benchmark name regex (default:
+#                  BM_Explore_Exchanger_Parallel — both shapes, jobs 1/2/4)
+#   PAR_OUT        parallel-explorer output JSON path (default:
+#                  BENCH_parallel_explore.json in the repo root)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -89,20 +100,22 @@ WMM_FILTER="${WMM_FILTER:-BM_WeakMemory}"
 WMM_OUT="${WMM_OUT:-$ROOT/BENCH_weak_memory.json}"
 RECLAIM_FILTER="${RECLAIM_FILTER:-BM_Reclaim}"
 RECLAIM_OUT="${RECLAIM_OUT:-$ROOT/BENCH_reclaim.json}"
+PAR_FILTER="${PAR_FILTER:-BM_Explore_Exchanger_Parallel}"
+PAR_OUT="${PAR_OUT:-$ROOT/BENCH_parallel_explore.json}"
 
-SERIES="${SERIES:-checker streaming env por pq wmm reclaim}"
+SERIES="${SERIES:-checker streaming env por pq wmm reclaim par}"
 
 # The bench target each series runs.
 target_of() {
   case "$1" in
     checker) echo bench_checker_scaling ;;
     streaming) echo bench_streaming ;;
-    env | por) echo bench_model_check ;;
+    env | por | par) echo bench_model_check ;;
     pq) echo bench_pq ;;
     wmm) echo bench_weak_memory ;;
     reclaim) echo bench_reclaim ;;
     *)
-      echo "error: unknown series '$1' (want: checker streaming env por pq wmm reclaim)" >&2
+      echo "error: unknown series '$1' (want: checker streaming env por pq wmm reclaim par)" >&2
       exit 2
       ;;
   esac
@@ -135,19 +148,41 @@ check_release() {
   fi
 }
 
+# Refuses a contention or scaling series recorded on fewer than two CPUs:
+# its thread-count comparisons would only measure time slicing.
+check_cpus() {
+  local out="$1"
+  local cpus
+  cpus="$(sed -n 's/.*"num_cpus": *\([0-9]*\).*/\1/p' "$out" | head -1)"
+  if [[ -z "$cpus" || "$cpus" -lt 2 ]]; then
+    echo "error: $out reports num_cpus=${cpus:-missing} (want >= 2);" >&2
+    echo "       record contention and scaling series on a multi-core host" >&2
+    exit 1
+  fi
+}
+
+# Runs one series into a scratch file and moves it to `out` only once the
+# release stamp (and, for a multi-core series, the CPU count) checks out.
 run_series() {
-  local bin="$1" filter="$2" out="$3"
+  local bin="$1" filter="$2" out="$3" multicore="${4:-}"
   if [[ ! -x "$bin" ]]; then
     echo "error: $bin not built (cmake -B \"$BUILD_DIR\" -S \"$ROOT\" -DCMAKE_BUILD_TYPE=Release && cmake --build \"$BUILD_DIR\" -j)" >&2
     exit 1
   fi
+  local tmp="$out.tmp"
+  trap "rm -f '$tmp'" EXIT
   "$bin" \
     --benchmark_filter="$filter" \
     --benchmark_repetitions="$REPS" \
     --benchmark_report_aggregates_only=true \
     --benchmark_out_format=json \
-    --benchmark_out="$out"
-  check_release "$out"
+    --benchmark_out="$tmp"
+  check_release "$tmp"
+  if [[ -n "$multicore" ]]; then
+    check_cpus "$tmp"
+  fi
+  mv "$tmp" "$out"
+  trap - EXIT
   echo "wrote $out"
 }
 
@@ -159,7 +194,8 @@ for series in $SERIES; do
     env) run_series "$BUILD_DIR/bench/bench_model_check" "$ENV_FILTER" "$ENV_OUT" ;;
     por) run_series "$BUILD_DIR/bench/bench_model_check" "$POR_FILTER" "$POR_OUT" ;;
     pq) run_series "$BUILD_DIR/bench/bench_pq" "$PQ_FILTER" "$PQ_OUT" ;;
-    wmm) run_series "$BUILD_DIR/bench/bench_weak_memory" "$WMM_FILTER" "$WMM_OUT" ;;
-    reclaim) run_series "$BUILD_DIR/bench/bench_reclaim" "$RECLAIM_FILTER" "$RECLAIM_OUT" ;;
+    wmm) run_series "$BUILD_DIR/bench/bench_weak_memory" "$WMM_FILTER" "$WMM_OUT" multicore ;;
+    reclaim) run_series "$BUILD_DIR/bench/bench_reclaim" "$RECLAIM_FILTER" "$RECLAIM_OUT" multicore ;;
+    par) run_series "$BUILD_DIR/bench/bench_model_check" "$PAR_FILTER" "$PAR_OUT" multicore ;;
   esac
 done

@@ -197,11 +197,10 @@ int main() {
       Explorer explorer(cfg, std::move(objects));
       sc = explorer.run();
     }
-    ExploreOptions opts;
-    opts.memory_model = MemoryModel::kTso;
+    cfg.memory_model = MemoryModel::kTso;
     std::vector<std::unique_ptr<SimObject>> objects;
     objects.push_back(std::make_unique<SimExchanger>(Symbol{"E"}));
-    Explorer explorer(cfg, std::move(objects), opts);
+    Explorer explorer(cfg, std::move(objects));
     ExploreResult tso = explorer.run();
     report("[5] exchanger x3 threads under x86-TSO (memory model: tso)",
            tso);

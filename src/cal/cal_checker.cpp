@@ -5,7 +5,6 @@
 
 #include "cal/engine/cal_policy.hpp"
 #include "cal/engine/search_engine.hpp"
-#include "cal/parallel/task_pool.hpp"
 
 namespace cal {
 
@@ -25,11 +24,24 @@ std::vector<CaStepResult> SeqAsCaSpec::step(
   return out;
 }
 
-namespace {
-
-template <bool kShared, typename Driver>
-CalCheckResult collect_result(Driver& driver,
-                              engine::CalPolicy<kShared>& policy) {
+CalCheckResult CalChecker::check(const std::vector<OpRecord>& ops) const {
+  if (options_.order_check) {
+    if (auto oc = spec_.order_check(ops, options_.complete_pending)) {
+      CalCheckResult result;
+      result.ok = oc->ok;
+      result.witness = std::move(oc->witness);
+      result.order_checked = true;
+      result.order_values = oc->values;
+      result.order_zones = oc->zones;
+      result.order_bumps = oc->bumps;
+      return result;
+    }
+  }
+  engine::CalPolicy policy(ops, spec_, options_.complete_pending,
+                           options_.symmetry);
+  engine::SequentialSearch<engine::CalPolicy> driver(
+      policy, {.max_visited = options_.max_visited,
+               .exact_visited = options_.exact_visited});
   const engine::SearchStats stats = driver.run();
   CalCheckResult result;
   result.ok = stats.found;
@@ -47,38 +59,6 @@ CalCheckResult collect_result(Driver& driver,
     result.witness = CaTrace(std::move(witness));
   }
   return result;
-}
-
-}  // namespace
-
-CalCheckResult CalChecker::check(const std::vector<OpRecord>& ops) const {
-  if (options_.order_check) {
-    if (auto oc = spec_.order_check(ops, options_.complete_pending)) {
-      CalCheckResult result;
-      result.ok = oc->ok;
-      result.witness = std::move(oc->witness);
-      result.order_checked = true;
-      result.order_values = oc->values;
-      result.order_zones = oc->zones;
-      result.order_bumps = oc->bumps;
-      return result;
-    }
-  }
-  engine::SearchOptions sopts;
-  sopts.max_visited = options_.max_visited;
-  sopts.exact_visited = options_.exact_visited;
-  const std::size_t threads = par::resolve_threads(options_.threads);
-  if (threads > 1) {
-    engine::CalPolicy<true> policy(ops, spec_, options_.complete_pending,
-                                   options_.symmetry);
-    engine::ParallelSearch<engine::CalPolicy<true>> driver(policy, sopts,
-                                                           threads);
-    return collect_result(driver, policy);
-  }
-  engine::CalPolicy<false> policy(ops, spec_, options_.complete_pending,
-                                  options_.symmetry);
-  engine::SequentialSearch<engine::CalPolicy<false>> driver(policy, sopts);
-  return collect_result(driver, policy);
 }
 
 CalCheckResult CalChecker::check(const History& history) const {

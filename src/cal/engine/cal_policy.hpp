@@ -14,8 +14,9 @@
 // (engine/incremental.cpp) and LinChecker (over SeqAsCaSpec) run on it.
 //
 // The expansion order replicates the pre-engine checker line for line —
-// with the sequential driver and exact dedup this policy is bit-for-bit
-// the historical CalChecker, witness included.
+// with exact dedup this policy is bit-for-bit the historical CalChecker,
+// witness included. It runs on the sequential driver only (plain counters,
+// one scratch buffer set per depth).
 #pragma once
 
 #include <algorithm>
@@ -34,6 +35,7 @@
 #include "cal/history.hpp"
 #include "cal/history_index.hpp"
 #include "cal/spec.hpp"
+#include "cal/step_cache.hpp"
 
 namespace cal::engine {
 
@@ -53,7 +55,6 @@ inline void encode_cal_step_key(const SpecState& state, Symbol object,
   out.insert(out.end(), state.begin(), state.end());
 }
 
-template <bool kShared>
 class CalPolicy {
  public:
   struct Node {
@@ -71,7 +72,7 @@ class CalPolicy {
         index_(ops) {
     if (symmetry) build_groups();
     // Every element fires an unfired operation, so depth <= ops.size().
-    if constexpr (!kShared) scratch_.resize(ops.size() + 1);
+    scratch_.resize(ops.size() + 1);
   }
 
   std::vector<Node> roots() const {
@@ -122,7 +123,7 @@ class CalPolicy {
         if (mask_test(n.fired, i)) ++fired;
       }
       if (fired != 0 && fired != members.size()) {
-        bump(symmetry_merged_);
+        ++symmetry_merged_;
         return;
       }
     }
@@ -144,8 +145,7 @@ class CalPolicy {
   /// decided returns. A false return stops.
   template <typename Fire>
   void successors(const Node& node, std::size_t depth, Fire&& fire) {
-    Scratch local;
-    Scratch& scratch = kShared ? local : scratch_[depth];
+    Scratch& scratch = scratch_[depth];
     // Collect enabled operations. Pending invocations participate only
     // when completion is allowed.
     std::vector<std::size_t>& enabled = scratch.enabled;
@@ -176,14 +176,10 @@ class CalPolicy {
     }
   }
 
-  [[nodiscard]] std::size_t fired_elements() const {
-    return read_counter(fired_elements_);
-  }
-  [[nodiscard]] std::size_t pruned_subsets() const {
-    return read_counter(pruned_subsets_);
-  }
+  [[nodiscard]] std::size_t fired_elements() const { return fired_elements_; }
+  [[nodiscard]] std::size_t pruned_subsets() const { return pruned_subsets_; }
   [[nodiscard]] std::size_t symmetry_merged() const {
-    return read_counter(symmetry_merged_);
+    return symmetry_merged_;
   }
   [[nodiscard]] std::size_t step_cache_hits() const { return memo_.hits(); }
   [[nodiscard]] std::size_t step_cache_misses() const {
@@ -290,7 +286,7 @@ class CalPolicy {
       chosen_ops.push_back(ops_[candidates[i]].op);
       bool keep_going = true;
       if (!spec_.compatible(object, chosen_ops)) {
-        bump(pruned_subsets_);
+        ++pruned_subsets_;
       } else {
         keep_going = try_subsets(node, object, candidates, i + 1,
                                  remaining - 1, chosen, chosen_ops, fire);
@@ -303,7 +299,7 @@ class CalPolicy {
   }
 
   /// spec_.step through the memo; the returned reference stays valid
-  /// across the recursion (node-based / sharded map, never erased).
+  /// across the recursion (node-based map, never erased).
   const std::vector<CaStepResult>& stepped(
       const SpecState& state, Symbol object,
       const std::vector<std::size_t>& chosen,
@@ -325,7 +321,7 @@ class CalPolicy {
     }
     for (const CaStepResult& sr :
          stepped(node.state, object, chosen, element_ops)) {
-      bump(fired_elements_);
+      ++fired_elements_;
       Node next{sr.next, node.fired, node.fired_completed + newly_completed};
       for (std::size_t i : chosen) mask_set(next.fired, i);
       if (!fire(std::move(next), chosen, sr.element)) return false;
@@ -341,13 +337,11 @@ class CalPolicy {
   /// grouped operations; both empty when symmetry is off or inapplicable.
   std::vector<std::vector<std::size_t>> groups_;
   StateMask grouped_mask_;
-  StepMemoFor<kShared, CaStepResult> memo_;
-  /// Per-depth scratch for the sequential search; a shared policy's
-  /// workers each use their own, per call.
-  std::vector<Scratch> scratch_;
-  Counter<kShared> fired_elements_{0};
-  Counter<kShared> pruned_subsets_{0};
-  Counter<kShared> symmetry_merged_{0};
+  StepMemo<CaStepResult> memo_;
+  std::vector<Scratch> scratch_;  ///< one per search depth
+  std::size_t fired_elements_ = 0;
+  std::size_t pruned_subsets_ = 0;
+  std::size_t symmetry_merged_ = 0;
 };
 
 }  // namespace cal::engine

@@ -7,7 +7,6 @@
 
 #include "cal/engine/cal_policy.hpp"
 #include "cal/engine/search_engine.hpp"
-#include "cal/parallel/task_pool.hpp"
 
 namespace cal::engine {
 
@@ -23,12 +22,9 @@ namespace {
 /// Goals — nodes with every completed active operation fired — are
 /// collect-mode sinks: their pending-only continuations stay reachable from
 /// them in the next window, so not expanding them loses nothing.
-template <bool kShared>
-class StreamPolicy : public CalPolicy<kShared> {
-  using Base = CalPolicy<kShared>;
-
+class StreamPolicy : public CalPolicy {
  public:
-  struct Node : Base::Node {
+  struct Node : CalPolicy::Node {
     /// (local index, committed return) for fired pending ops, ascending.
     std::vector<std::pair<std::uint32_t, Value>> pending_rets;
     /// Index of the frontier entry this search state grew from (not part
@@ -43,7 +39,7 @@ class StreamPolicy : public CalPolicy<kShared> {
   StreamPolicy(const std::vector<OpRecord>& ops, const CaSpec& spec,
                const std::vector<FrontierEntry>& frontier,
                const std::unordered_map<std::size_t, std::size_t>& local_of)
-      : Base(ops, spec, /*complete_pending=*/true),
+      : CalPolicy(ops, spec, /*complete_pending=*/true),
         ops_(ops),
         frontier_(frontier),
         local_of_(local_of) {}
@@ -83,11 +79,10 @@ class StreamPolicy : public CalPolicy<kShared> {
 
   template <typename Emit>
   void expand(const Node& node, std::size_t depth,
-              const std::vector<typename Base::Label>& /*prefix*/,
-              Emit&& emit) {
-    this->successors(
+              const std::vector<Label>& /*prefix*/, Emit&& emit) {
+    successors(
         node, depth,
-        [&](typename Base::Node&& fired,
+        [&](CalPolicy::Node&& fired,
             const std::vector<std::size_t>& chosen, const CaElement& element) {
           Node next{std::move(fired), node.pending_rets, node.root};
           commit_pending_returns(next, chosen, element);
@@ -272,7 +267,7 @@ void IncrementalChecker::check_window() {
   sopts.exact_visited = options_.exact_visited;
 
   std::vector<FrontierEntry> next;
-  const auto sink = [&](const auto& node,
+  const auto sink = [&](const StreamPolicy::Node& node,
                         const std::vector<const CaElement*>& prefix,
                         std::uint64_t) {
     FrontierEntry entry;
@@ -289,17 +284,9 @@ void IncrementalChecker::check_window() {
     next.push_back(std::move(entry));
   };
 
-  engine::SearchStats stats;
-  const std::size_t threads = par::resolve_threads(options_.threads);
-  if (threads > 1) {
-    StreamPolicy<true> policy(local_ops, spec_, frontier_, local_of);
-    ParallelSearch<StreamPolicy<true>> driver(policy, sopts, threads);
-    stats = driver.run_collect(sink);
-  } else {
-    StreamPolicy<false> policy(local_ops, spec_, frontier_, local_of);
-    SequentialSearch<StreamPolicy<false>> driver(policy, sopts);
-    stats = driver.run_collect(sink);
-  }
+  StreamPolicy policy(local_ops, spec_, frontier_, local_of);
+  SequentialSearch<StreamPolicy> driver(policy, sopts);
+  const SearchStats stats = driver.run_collect(sink);
   status_.visited_states += stats.visited_states;
 
   if (stats.exhausted) {

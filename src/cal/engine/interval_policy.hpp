@@ -26,10 +26,10 @@
 #include "cal/history_index.hpp"
 #include "cal/interval_lin.hpp"
 #include "cal/spec.hpp"
+#include "cal/step_cache.hpp"
 
 namespace cal::engine {
 
-template <bool kShared>
 class IntervalPolicy {
  public:
   struct Node {
@@ -196,7 +196,7 @@ class IntervalPolicy {
   const IntervalSpec& spec_;
   bool complete_pending_;
   HistoryIndex index_;
-  StepMemoFor<kShared, IntervalRoundResult> memo_;
+  StepMemo<IntervalRoundResult> memo_;
 };
 
 }  // namespace cal::engine

@@ -7,8 +7,8 @@
 // optional node cap, and either a *first goal wins* (accept) or a *collect
 // every goal* (collect) result discipline. What differs per checker — node layout, successor
 // generation, spec-step memoization — lives in a Policy; what is shared —
-// the DFS drivers (sequential and work-stealing parallel), the visited
-// set, the cap/exhaustion bookkeeping, and the witness stack — lives here.
+// the DFS drivers, the visited set, the cap/exhaustion bookkeeping, and the
+// witness stack — lives here.
 //
 // Policy concept
 // --------------
@@ -37,22 +37,23 @@
 //
 // Drivers
 // -------
-//   SequentialSearch: plain recursive DFS, VisitedSet, witness stack.
-//   ParallelSearch:   the shape proven out by the original parallel CAL
-//     checker — subtree tasks forked onto a work-stealing par::TaskPool at
-//     depth < kForkDepth (each task carrying a copy of its label prefix),
-//     SharedVisitedSet for cross-worker dedup, cooperative cancellation
-//     through an atomic flag once a goal is published (accept mode) or the
-//     cap trips. Collect mode serializes sink calls under a mutex and does
-//     not cancel on goals. Each forked task carries its *rank*, its place
-//     in the sequential DFS order; a stopping report cancels only work
-//     ranked after it, and reports() are returned in rank order up to the
-//     lowest-ranked stop — equal to the sequential reports whenever dedup
-//     is off; collect-mode goals reach the sink with their rank. Accept
-//     mode keeps its first-published witness.
+//   SequentialSearch: plain recursive DFS, VisitedSet, witness stack. Runs
+//     both modes; every checker runs on it alone.
+//   ParallelSearch:   collect mode only, for sched::Explorer — subtree
+//     tasks forked onto a work-stealing par::TaskPool at depth < kForkDepth
+//     (each task carrying a copy of its label prefix), an exact
+//     par::ShardedStateSet for cross-worker dedup, cooperative cancellation
+//     through an atomic flag once the cap trips. Sink calls are serialized
+//     under a mutex and goals do not cancel. Each forked task carries its
+//     *rank*, its place in the sequential DFS order; a stopping report
+//     cancels only work ranked after it, and reports() are returned in
+//     rank order up to the lowest-ranked stop — equal to the sequential
+//     reports whenever dedup is off; goals reach the sink with their rank.
+//     (Forking the checkers' accept-mode searches was measured slower than
+//     the sequential driver on every series; EXPERIMENTS.md T-PAR.)
 //
 // Node-entry ordering (load-bearing for drop-in compatibility):
-//   accept mode:  cancelled? → goal? → cap? → dedup insert → expand
+//   accept mode:  on_enter → goal? → cap? → dedup insert → expand
 //     (goal precedes dedup so a root that is already a goal reports
 //      visited_states == 0, as the original checkers did);
 //   collect mode: cancelled? → on_enter → cap? → dedup insert → count →
@@ -71,6 +72,7 @@
 #include <vector>
 
 #include "cal/engine/visited.hpp"
+#include "cal/parallel/sharded_set.hpp"
 #include "cal/parallel/task_pool.hpp"
 
 namespace cal::engine {
@@ -79,7 +81,8 @@ struct SearchOptions {
   /// Node cap: searches stop with `exhausted` once this many nodes have
   /// been deduplicated (0 = unbounded).
   std::size_t max_visited = 0;
-  /// Store exact node encodings instead of 128-bit fingerprints.
+  /// Store exact node encodings instead of 128-bit fingerprints
+  /// (ParallelSearch always stores exact keys).
   bool exact_visited = false;
   /// Deduplicate at all (the explorer's merge_states=false turns this off;
   /// the cap then counts entered nodes instead of deduped ones).
@@ -269,10 +272,9 @@ class SequentialSearch {
   bool stopped_ = false;  // a stopping report was filed
 };
 
-/// Work-stealing parallel driver. The policy is shared by all workers, so
-/// its expand()/is_goal()/encode() must be thread-safe (checker policies
-/// achieve this with sharded step memos and atomic counters — see the
-/// kShared template parameter of the checker policies).
+/// Work-stealing parallel driver, collect mode only. The policy is shared
+/// by all workers, so its expand()/is_goal()/encode() must be thread-safe
+/// (see the kShared template parameter of sched::Explorer's policy).
 template <typename Policy>
 class ParallelSearch {
  public:
@@ -287,35 +289,28 @@ class ParallelSearch {
 
   ParallelSearch(Policy& policy, const SearchOptions& options,
                  std::size_t threads)
-      : policy_(policy),
-        options_(options),
-        threads_(threads),
-        visited_(options.exact_visited) {}
-
-  SearchStats run() {
-    drive([this](Node&& root, std::vector<Label>&& prefix, std::size_t) {
-      dfs_accept(std::move(root), 0, prefix);
-    });
-    SearchStats stats = finish();
-    stats.found = found_.load(std::memory_order_acquire);
-    return stats;
-  }
+      : policy_(policy), options_(options), threads_(threads) {}
 
   /// As SequentialSearch::run_collect; sink calls are serialized, and the
   /// goals of one rank (one task) arrive in DFS order.
   template <typename Sink>
   SearchStats run_collect(Sink&& sink) {
-    drive([this, &sink](Node&& root, std::vector<Label>&& prefix,
-                        std::size_t index) {
-      const Rank rank = static_cast<Rank>(index + 1) << kRankShift;
-      dfs_collect(std::move(root), 0, prefix, rank, sink);
-    });
+    par::TaskPool pool(threads_);
+    pool_ = &pool;
+    Rank rank = 0;
+    for (Node& root : policy_.roots()) {
+      rank += Rank{1} << kRankShift;
+      pool.submit([this, &sink, rank, root = std::move(root)]() mutable {
+        std::vector<Label> prefix;
+        dfs_collect(std::move(root), 0, prefix, rank, sink);
+      });
+    }
+    pool.wait_idle();
+    pool_ = nullptr;
     return finish();
   }
 
-  [[nodiscard]] std::vector<Label>&& witness() { return std::move(witness_); }
-
-  /// Collect mode: the filed reports in rank (= sequential DFS) order,
+  /// The filed reports in rank (= sequential DFS) order,
   /// ending at the lowest-ranked stopping one.
   [[nodiscard]] std::vector<Report> reports() {
     std::stable_sort(reports_.begin(), reports_.end(),
@@ -348,21 +343,6 @@ class ParallelSearch {
                    << (kRankShift - kRankBits * (depth + 1)));
   }
 
-  template <typename Body>
-  void drive(Body&& body) {
-    par::TaskPool pool(threads_);
-    pool_ = &pool;
-    std::size_t index = 0;
-    for (Node& root : policy_.roots()) {
-      pool.submit([this, &body, root = std::move(root),
-                   index = index++]() mutable {
-        body(std::move(root), std::vector<Label>(), index);
-      });
-    }
-    pool.wait_idle();
-    pool_ = nullptr;
-  }
-
   SearchStats finish() {
     SearchStats stats;
     stats.exhausted = exhausted_.load(std::memory_order_acquire);
@@ -376,12 +356,10 @@ class ParallelSearch {
     return stats;
   }
 
-  /// True once work ranked `at` should stop: a goal was published, the
-  /// cap tripped, or a stop was reported at or before `at`. (Accept mode
-  /// files no reports and passes rank 0.)
+  /// True once work ranked `at` should stop: the cap tripped, or a stop
+  /// was reported at or before `at`.
   bool cancelled(Rank at) const {
-    return found_.load(std::memory_order_acquire) ||
-           exhausted_.load(std::memory_order_acquire) ||
+    return exhausted_.load(std::memory_order_acquire) ||
            stop_rank_.load(std::memory_order_relaxed) <= at;
   }
 
@@ -420,13 +398,6 @@ class ParallelSearch {
     }
   }
 
-  void publish_witness(const std::vector<Label>& prefix) {
-    std::lock_guard<std::mutex> lock(result_mutex_);
-    if (found_.load(std::memory_order_relaxed)) return;
-    witness_ = prefix;
-    found_.store(true, std::memory_order_release);
-  }
-
   void file(Rank at, Report&& report, bool stop) {
     {
       std::lock_guard<std::mutex> lock(result_mutex_);
@@ -440,29 +411,8 @@ class ParallelSearch {
   }
 
   /// One task: searches a subtree, forking shallow children as new tasks.
-  /// `prefix` is this task's private label path from the root.
-  void dfs_accept(Node&& node, std::size_t depth, std::vector<Label>& prefix) {
-    if (cancelled(0)) return;
-    note_depth(depth);
-    policy_.on_enter(node, depth);
-    if (policy_.is_goal(node)) {
-      publish_witness(prefix);
-      return;
-    }
-    if (at_cap()) return;
-    if (!enter(node)) return;
-    policy_.expand(node, depth, prefix,
-                   [&](Node&& next, Label&& label) -> bool {
-                     step(std::move(next), std::move(label), depth, prefix,
-                          [this](Node&& n, std::size_t d,
-                                 std::vector<Label>& p) {
-                            dfs_accept(std::move(n), d, p);
-                          });
-                     return !cancelled(0);
-                   });
-  }
-
-  /// As dfs_accept, for collect mode; `rank` is this node's rank.
+  /// `prefix` is this task's private label path from the root; `rank` is
+  /// this node's rank.
   template <typename Sink>
   void dfs_collect(Node&& node, std::size_t depth, std::vector<Label>& prefix,
                    Rank rank, Sink& sink) {
@@ -482,12 +432,8 @@ class ParallelSearch {
     policy_.expand(
         node, depth, prefix,
         Emitter{[&](Node&& next, Label&& label) -> bool {
-                  const Rank child = child_rank(rank, depth, ordinal++);
                   step(std::move(next), std::move(label), depth, prefix,
-                       [this, child, &sink](Node&& n, std::size_t d,
-                                            std::vector<Label>& p) {
-                         dfs_collect(std::move(n), d, p, child, sink);
-                       });
+                       child_rank(rank, depth, ordinal++), sink);
                   return !cancelled(child_rank(rank, depth, ordinal));
                 },
                 [&](Report&& report, bool stop) -> bool {
@@ -497,22 +443,22 @@ class ParallelSearch {
                 }});
   }
 
-  /// Recurse into a successor: as a forked task (with its own prefix copy)
-  /// near the root, inline below kForkDepth.
-  template <typename Recurse>
+  /// Recurse into a successor ranked `rank`: as a forked task (with its
+  /// own prefix copy) near the root, inline below kForkDepth.
+  template <typename Sink>
   void step(Node&& next, Label&& label, std::size_t depth,
-            std::vector<Label>& prefix, Recurse recurse) {
+            std::vector<Label>& prefix, Rank rank, Sink& sink) {
     if (depth < kForkDepth) {
       std::vector<Label> child_prefix = prefix;
       child_prefix.push_back(std::move(label));
-      pool_->submit([this, recurse, next = std::move(next),
+      pool_->submit([this, &sink, rank, next = std::move(next),
                      child_prefix = std::move(child_prefix),
                      depth]() mutable {
-        recurse(std::move(next), depth + 1, child_prefix);
+        dfs_collect(std::move(next), depth + 1, child_prefix, rank, sink);
       });
     } else {
       prefix.push_back(std::move(label));
-      recurse(std::move(next), depth + 1, prefix);
+      dfs_collect(std::move(next), depth + 1, prefix, rank, sink);
       prefix.pop_back();
     }
   }
@@ -520,10 +466,9 @@ class ParallelSearch {
   Policy& policy_;
   SearchOptions options_;
   std::size_t threads_;
-  SharedVisitedSet visited_;
+  par::ShardedStateSet visited_;
   par::TaskPool* pool_ = nullptr;
 
-  std::atomic<bool> found_{false};
   std::atomic<bool> exhausted_{false};
   std::atomic<std::size_t> visited_count_{0};
   std::atomic<std::size_t> entered_{0};
@@ -531,7 +476,6 @@ class ParallelSearch {
   std::atomic<std::size_t> max_depth_{0};
   std::atomic<Rank> stop_rank_{kNoStop};  // lowest-ranked stopping report
   std::mutex result_mutex_;
-  std::vector<Label> witness_;
   std::vector<std::pair<Rank, Report>> reports_;
 };
 

@@ -5,16 +5,15 @@
 // stored — zero false-prune risk, and the mode the explorer's sound state
 // merging requires) or *fingerprint* (128-bit two-chain fingerprints,
 // cal/fingerprint.hpp — 16 bytes per node at a ~2^-64 per-pair false-prune
-// risk). These two wrappers put both modes behind one insert() so the
-// engine drivers (engine/search_engine.hpp) never branch on the mode:
-// VisitedSet is the single-threaded table, SharedVisitedSet the striped-
-// lock table the parallel driver's workers share.
+// risk). VisitedSet puts both modes behind one insert() so the sequential
+// driver (engine/search_engine.hpp) never branches on the mode. The
+// parallel driver, which only the explorer runs, shares the exact
+// par::ShardedStateSet between its workers.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "cal/fingerprint.hpp"
@@ -63,32 +62,6 @@ class VisitedSet {
   std::unordered_set<NodeKey, KeyHash> exact_set_;
   std::size_t exact_bytes_ = 0;
   FingerprintSet fp_set_;
-};
-
-/// The sharded, striped-lock counterpart shared by the parallel driver's
-/// workers: exactly one of any set of racing inserts of equal keys wins.
-class SharedVisitedSet {
- public:
-  explicit SharedVisitedSet(bool exact) : exact_(exact) {}
-
-  bool insert(NodeKey&& key) {
-    if (exact_) return exact_set_.insert(std::move(key));
-    return fp_set_.insert(fingerprint_key(key));
-  }
-
-  /// Exact once concurrent inserters have quiesced.
-  [[nodiscard]] std::size_t size() const {
-    return exact_ ? exact_set_.size() : fp_set_.size();
-  }
-
-  [[nodiscard]] std::size_t bytes() const {
-    return exact_ ? exact_set_.bytes() : fp_set_.bytes();
-  }
-
- private:
-  bool exact_;
-  par::ShardedStateSet exact_set_;
-  par::ShardedFingerprintSet fp_set_;
 };
 
 }  // namespace cal::engine

@@ -18,7 +18,6 @@ LinCheckResult check_via_cal(const SequentialSpec& spec,
   const CalCheckResult r =
       CalChecker(adapter, {.max_visited = o.max_visited,
                            .complete_pending = o.complete_pending,
-                           .threads = o.threads,
                            .exact_visited = o.exact_visited})
           .check(input);
   LinCheckResult result{.ok = r.ok,

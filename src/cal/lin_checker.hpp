@@ -24,7 +24,6 @@ namespace cal {
 struct LinCheckOptions {
   std::size_t max_visited = 0;  ///< 0 = unlimited
   bool complete_pending = true;
-  std::size_t threads = 1;  ///< 1 = sequential; 0 = one per hardware thread
   bool exact_visited = false;
 };
 

@@ -1,14 +1,15 @@
-// A small work-stealing task pool — the shared substrate of the parallel
-// search engines (cal/cal_checker.cpp, sched/explorer.cpp) and the
-// cal-check --jobs batch pipeline.
+// A small work-stealing task pool — the substrate of the engine's parallel
+// driver (which sched/explorer.cpp runs) and the cal-check --jobs batch
+// pipeline.
 //
 // Design constraints, in order:
 //   * correctness under TSan — every queue is a plain mutex-guarded deque
 //     (one per worker, so contention is striped, plus an overflow queue
 //     for external submitters); no lock-free cleverness on the control
 //     path, the searches themselves are the hot path;
-//   * recursive submission — tasks may submit subtasks (the DFS engines
-//     fork the top levels of their search trees from inside pool workers);
+//   * recursive submission — tasks may submit subtasks (the parallel DFS
+//     driver forks the top levels of its search tree from inside pool
+//     workers);
 //     a worker pushes to its *own* deque and pops LIFO for locality, while
 //     thieves steal FIFO from the opposite end;
 //   * a quiescence barrier — wait_idle() blocks the (external) caller
@@ -65,7 +66,7 @@ class TaskPool {
   void worker_loop(std::size_t index);
   bool try_pop(std::size_t self, Task& out);
 
-  // One mutex guards all deques: the engines submit coarse tasks (whole
+  // One mutex guards all deques: the driver submits coarse tasks (whole
   // subtrees), so queue traffic is orders of magnitude rarer than search
   // steps and a single lock keeps wait_idle and shutdown trivially
   // race-free.

@@ -17,11 +17,8 @@
 // callers may hold them through recursion.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -38,7 +35,7 @@ struct StepKeyHash {
   }
 };
 
-/// Single-threaded memo table for the sequential engines.
+/// Single-threaded memo table of one search.
 template <typename Outcome>
 class StepMemo {
  public:
@@ -66,65 +63,6 @@ class StepMemo {
   std::unordered_map<StepKey, std::vector<Outcome>, StepKeyHash> map_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
-};
-
-/// Striped-lock memo table shared by the parallel engine's workers. Entries
-/// are immutable once inserted and never erased; a reader that found an
-/// entry under the shard lock may keep the reference after unlocking (the
-/// writer's insert happened-before via the same mutex). Racing computes of
-/// the same key are benign: the first insert wins, later ones are dropped.
-template <typename Outcome>
-class ShardedStepMemo {
- public:
-  explicit ShardedStepMemo(std::size_t shard_count = 64) {
-    std::size_t n = 1;
-    while (n < shard_count) n <<= 1;
-    mask_ = n - 1;
-    shards_ = std::make_unique<Shard[]>(n);
-  }
-
-  [[nodiscard]] const std::vector<Outcome>* find(const StepKey& key) {
-    Shard& shard = shards_[shard_of(key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return &it->second;
-  }
-
-  const std::vector<Outcome>& insert(StepKey&& key,
-                                     std::vector<Outcome>&& outcomes) {
-    Shard& shard = shards_[shard_of(key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.emplace(std::move(key), std::move(outcomes))
-        .first->second;
-  }
-
-  [[nodiscard]] std::size_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct alignas(64) Shard {
-    std::mutex mu;
-    std::unordered_map<StepKey, std::vector<Outcome>, StepKeyHash> map;
-  };
-
-  [[nodiscard]] std::size_t shard_of(const StepKey& key) const noexcept {
-    const std::size_t h = hash_state(key);
-    return (h >> 48 ^ h >> 24) & mask_;
-  }
-
-  std::unique_ptr<Shard[]> shards_;
-  std::size_t mask_ = 0;
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
 };
 
 }  // namespace cal

@@ -136,6 +136,33 @@ class SleepSubsumption {
   std::array<Shard, kShards> shards_;
 };
 
+/// A diagnostic counter of ExplorePolicy<kShared>: atomic when the
+/// parallel driver's workers share the policy, plain otherwise.
+template <bool kShared>
+using Counter =
+    std::conditional_t<kShared, std::atomic<std::size_t>, std::size_t>;
+
+void bump(std::size_t& c) noexcept { ++c; }
+void bump(std::atomic<std::size_t>& c) noexcept {
+  c.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Raises a high-water mark to `value`.
+void raise_to(std::size_t& c, std::size_t value) noexcept {
+  if (value > c) c = value;
+}
+void raise_to(std::atomic<std::size_t>& c, std::size_t value) noexcept {
+  std::size_t seen = c.load(std::memory_order_relaxed);
+  while (value > seen &&
+         !c.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+  }
+}
+
+std::size_t read_counter(const std::size_t& c) noexcept { return c; }
+std::size_t read_counter(const std::atomic<std::size_t>& c) noexcept {
+  return c.load(std::memory_order_relaxed);
+}
+
 /// The exploration as an engine policy: worlds are nodes, schedule steps
 /// are labels, terminal worlds are goals (collect-mode sinks), violations
 /// are reports. Per-step audits (transition guarantee, state invariant,
@@ -202,7 +229,7 @@ class ExplorePolicy {
   /// Engine dedup-hit hook: a hit whose key was produced by a non-identity
   /// renaming is a merge only the canonicalizer could have made.
   void on_dedup(const Node& node) {
-    if (node.renamed) engine::bump(symmetry_merged_);
+    if (node.renamed) bump(symmetry_merged_);
   }
 
   void on_enter(const Node& node, std::size_t /*depth*/) {
@@ -215,9 +242,9 @@ class ExplorePolicy {
     } else {
       events_ |= events;
     }
-    engine::raise_to(buffered_max_, node.world.memory().buffered_total());
-    engine::raise_to(recycled_allocs_, node.world.recycled_allocs());
-    engine::raise_to(retired_max_, node.world.retired().size());
+    raise_to(buffered_max_, node.world.memory().buffered_total());
+    raise_to(recycled_allocs_, node.world.recycled_allocs());
+    raise_to(retired_max_, node.world.retired().size());
   }
 
   template <typename Emit>
@@ -231,12 +258,12 @@ class ExplorePolicy {
       const ThreadCtx& t = world.threads()[i];
       if (t.done(config_.programs[t.program].calls.size())) continue;
       if (por_ && is_sleeping(node.sleep, i)) {
-        engine::bump(por_pruned_);
+        bump(por_pruned_);
         continue;
       }
       const Call& call = config_.programs[t.program].calls[t.call_idx];
       const SimObject& object = *objects_[call.object];
-      engine::bump(transitions_);
+      bump(transitions_);
 
       World next = world;  // branch
       next.begin_step();
@@ -292,11 +319,11 @@ class ExplorePolicy {
     // but their store footprint does wake dependent sleepers in the child.
     for (std::size_t i = 0; i < world.threads().size(); ++i) {
       if (!world.flushable(i)) continue;
-      engine::bump(transitions_);
+      bump(transitions_);
       World next = world;
       next.begin_step();
       next.flush_one(i);
-      engine::bump(flush_steps_);
+      bump(flush_steps_);
       audit_transition(world, next, next.threads()[i].tid);
       const StepFootprint fp = next.footprint();
       SleepSet child = por_ ? inherit_sleep(cur, fp) : SleepSet{};
@@ -310,7 +337,6 @@ class ExplorePolicy {
 
   /// Copies the policy's counters into `result`.
   void fill(ExploreResult& result) const {
-    using engine::read_counter;
     result.transitions = read_counter(transitions_);
     result.events = events_;
     result.por_pruned = read_counter(por_pruned_);
@@ -360,7 +386,7 @@ class ExplorePolicy {
       const auto mask = static_cast<std::uint64_t>(key.back());
       key.pop_back();
       if (subsume_->covered(key, mask)) {
-        engine::bump(por_pruned_);
+        bump(por_pruned_);
         return true;
       }
     }
@@ -375,15 +401,15 @@ class ExplorePolicy {
   const bool por_;
   std::unique_ptr<SleepSubsumption> subsume_;
 
-  engine::Counter<kShared> transitions_{0};
+  Counter<kShared> transitions_{0};
   std::conditional_t<kShared, std::atomic<std::uint64_t>, std::uint64_t>
       events_{0};
-  engine::Counter<kShared> por_pruned_{0};
-  engine::Counter<kShared> symmetry_merged_{0};
-  engine::Counter<kShared> flush_steps_{0};
-  engine::Counter<kShared> buffered_max_{0};
-  engine::Counter<kShared> recycled_allocs_{0};
-  engine::Counter<kShared> retired_max_{0};
+  Counter<kShared> por_pruned_{0};
+  Counter<kShared> symmetry_merged_{0};
+  Counter<kShared> flush_steps_{0};
+  Counter<kShared> buffered_max_{0};
+  Counter<kShared> recycled_allocs_{0};
+  Counter<kShared> retired_max_{0};
 };
 
 /// Distinct terminal histories, each kept from its first terminal in
@@ -442,17 +468,7 @@ ExploreResult explore(Policy& policy, Search& search,
 Explorer::Explorer(const WorldConfig& config,
                    std::vector<std::unique_ptr<SimObject>> objects,
                    ExploreOptions options)
-    : owned_config_(config),
-      config_(owned_config_),
-      objects_(std::move(objects)),
-      options_(options) {
-  // Either surface may select TSO: ExploreOptions::memory_model overrides
-  // the config when set, and a TSO config is honored when the options keep
-  // the default.
-  if (options_.memory_model == MemoryModel::kTso) {
-    owned_config_.memory_model = MemoryModel::kTso;
-  }
-}
+    : config_(config), objects_(std::move(objects)), options_(options) {}
 
 ExploreResult Explorer::run() {
   // Both reductions are gated off while an auditor is attached: the

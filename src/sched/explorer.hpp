@@ -95,11 +95,6 @@ struct ExploreOptions {
   /// (WorldCanon in sched/world.hpp; requires its value discipline, else
   /// it deactivates itself). Also forced off under an auditor.
   bool symmetry = false;
-  /// Memory model of the simulated machine. kTso adds per-thread store
-  /// buffers and nondeterministic flush transitions (sched/sim_memory.hpp).
-  /// kSc here defers to the WorldConfig's own memory_model, so either
-  /// surface can select TSO; setting kTso overrides the config.
-  MemoryModel memory_model = MemoryModel::kSc;
 };
 
 /// One step of a recorded schedule: which thread acted, and the value of
@@ -190,11 +185,9 @@ class Explorer {
   /// The check_spec post-pass over collected terminal histories.
   void check_collected(ExploreResult& result) const;
 
-  /// Owned copy of the caller's config with ExploreOptions::memory_model
-  /// applied (worlds keep a pointer to their config, so the explorer must
-  /// own the adjusted one for its whole lifetime).
-  WorldConfig owned_config_;
-  const WorldConfig& config_;
+  /// Owned copy of the caller's config (worlds keep a pointer to their
+  /// config, so the explorer owns it for its whole lifetime).
+  const WorldConfig config_;
   std::vector<std::unique_ptr<SimObject>> objects_;
   ExploreOptions options_;
   const TransitionAuditor* auditor_ = nullptr;

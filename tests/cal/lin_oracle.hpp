@@ -172,11 +172,10 @@ inline History random_container_history(std::mt19937& rng,
 }
 
 /// Expects LinChecker(spec) and CalChecker(SeqAsCaSpec(spec)) to decide
-/// `h` as the oracle does, with and without complete_pending, at `threads`
-/// search workers. Returns the oracle's verdict with completion.
+/// `h` as the oracle does, with and without complete_pending. Returns the
+/// oracle's verdict with completion.
 inline bool expect_checkers_match_oracle(
-    const std::shared_ptr<const SequentialSpec>& spec, const History& h,
-    std::size_t threads = 1) {
+    const std::shared_ptr<const SequentialSpec>& spec, const History& h) {
   const SeqAsCaSpec adapter(spec);
   bool verdict = false;
   for (bool complete_pending : {true, false}) {
@@ -184,10 +183,8 @@ inline bool expect_checkers_match_oracle(
     if (complete_pending) verdict = expected;
     LinCheckOptions lopts;
     lopts.complete_pending = complete_pending;
-    lopts.threads = threads;
     CalCheckOptions copts;
     copts.complete_pending = complete_pending;
-    copts.threads = threads;
     EXPECT_EQ(LinChecker(*spec, lopts).check(h).ok, expected)
         << "LinChecker, complete_pending=" << complete_pending << "\n"
         << h.to_string();

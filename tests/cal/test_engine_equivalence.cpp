@@ -1,9 +1,7 @@
-// Engine equivalence: all three checkers now run on the unified search
-// core (src/cal/engine/), so every (threads ∈ {1, 2, 8}) × (exact vs
-// fingerprint dedup) configuration must agree — on verdicts everywhere,
-// and byte-for-byte on witnesses wherever the sequential driver runs.
-// Lin and Interval gained the `threads` option in this refactor; this
-// suite is what pins their parallel verdicts to the sequential ones.
+// Engine equivalence: all three checkers run on the unified search core
+// (src/cal/engine/), so both dedup modes (exact vs fingerprint) must
+// agree — on verdicts, and byte-for-byte on witnesses, since the
+// sequential driver walks the same order in either mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,8 +30,6 @@ const Symbol kQ{"Q"};
 
 Value iv(std::int64_t x) { return Value::integer(x); }
 
-constexpr std::size_t kThreadGrid[] = {1, 2, 8};
-
 // ---------------------------------------------------------------------------
 // Witness validity: a linearization must replay through the sequential
 // spec (backtracking over outcome choices — specs may be nondeterministic).
@@ -55,57 +51,48 @@ bool replay_lin(const SequentialSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
-// LinChecker across the full engine grid.
+// LinChecker in both dedup modes.
 
 void expect_lin_grid_equivalent(const SequentialSpec& spec, const History& h,
                                 std::optional<bool> expect = std::nullopt) {
   std::optional<bool> verdict;
   std::optional<std::vector<Operation>> sequential_witness;
   for (bool exact : {false, true}) {
-    for (std::size_t threads : kThreadGrid) {
-      LinCheckOptions opts;
-      opts.threads = threads;
-      opts.exact_visited = exact;
-      LinChecker checker(spec, opts);
-      LinCheckResult r = checker.check(h);
-      if (!verdict) {
-        verdict = r.ok;
+    LinCheckOptions opts;
+    opts.exact_visited = exact;
+    LinChecker checker(spec, opts);
+    LinCheckResult r = checker.check(h);
+    if (!verdict) {
+      verdict = r.ok;
+    } else {
+      ASSERT_EQ(r.ok, *verdict) << "exact=" << exact << " diverged on\n"
+                                << h.to_string();
+    }
+    if (r.visited_states > 0) {
+      EXPECT_GT(r.visited_bytes, 0u) << "exact=" << exact;
+    }
+    if (r.ok) {
+      ASSERT_TRUE(r.witness.has_value());
+      EXPECT_TRUE(replay_lin(spec, *r.witness))
+          << "witness does not replay, exact=" << exact << "\n"
+          << h.to_string();
+      if (h.complete()) {
+        // Every operation of a complete history must appear in the
+        // linearization, with its recorded return value.
+        std::vector<Operation> expected;
+        for (const OpRecord& rec : h.operations()) expected.push_back(rec.op);
+        std::vector<Operation> got = *r.witness;
+        std::sort(expected.begin(), expected.end());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expected) << h.to_string();
+      }
+      // The sequential driver is deterministic: exact and fingerprint
+      // dedup walk the same order, so the witness is byte-identical.
+      if (!sequential_witness) {
+        sequential_witness = *r.witness;
       } else {
-        ASSERT_EQ(r.ok, *verdict) << "exact=" << exact
-                                  << " threads=" << threads
-                                  << " diverged on\n"
-                                  << h.to_string();
-      }
-      if (r.visited_states > 0) {
-        EXPECT_GT(r.visited_bytes, 0u)
-            << "exact=" << exact << " threads=" << threads;
-      }
-      if (r.ok) {
-        ASSERT_TRUE(r.witness.has_value());
-        EXPECT_TRUE(replay_lin(spec, *r.witness))
-            << "witness does not replay, exact=" << exact
-            << " threads=" << threads << "\n"
-            << h.to_string();
-        if (h.complete()) {
-          // Every operation of a complete history must appear in the
-          // linearization, with its recorded return value.
-          std::vector<Operation> expected;
-          for (const OpRecord& rec : h.operations()) expected.push_back(rec.op);
-          std::vector<Operation> got = *r.witness;
-          std::sort(expected.begin(), expected.end());
-          std::sort(got.begin(), got.end());
-          EXPECT_EQ(got, expected) << h.to_string();
-        }
-        if (threads == 1) {
-          // The sequential driver is deterministic: exact and fingerprint
-          // dedup walk the same order, so the witness is byte-identical.
-          if (!sequential_witness) {
-            sequential_witness = *r.witness;
-          } else {
-            EXPECT_EQ(*r.witness, *sequential_witness)
-                << "sequential witness changed with exact=" << exact;
-          }
-        }
+        EXPECT_EQ(*r.witness, *sequential_witness)
+            << "sequential witness changed with exact=" << exact;
       }
     }
   }
@@ -156,28 +143,22 @@ TEST_P(LinEngineSeeds, GarbageStackRuns) {
 
 TEST_P(LinEngineSeeds, AgreesWithCalOverAdapter) {
   // LinChecker runs CalChecker over SeqAsCaSpec, so the two are checked
-  // against an independent brute-force oracle instead of each other, on
-  // one and two search threads.
+  // against an independent brute-force oracle instead of each other. Each
+  // (legal, truncate) combination draws two stack and two queue histories.
   std::mt19937 rng(GetParam() + 200);
   const auto stack = std::make_shared<StackSpec>(kS);
   const auto queue = std::make_shared<QueueSpec>(kQ);
   const ContainerMethods stack_methods{kS, Symbol{"push"}, Symbol{"pop"}};
   const ContainerMethods queue_methods{kQ, Symbol{"enq"}, Symbol{"deq"}};
-  for (int round = 0; round < 4; ++round) {
-    const bool legal = round % 2 == 0;
-    const bool truncate = round >= 2;
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      expect_checkers_match_oracle(
-          stack,
-          random_container_history(rng, *stack, stack_methods, legal,
-                                   truncate),
-          threads);
-      expect_checkers_match_oracle(
-          queue,
-          random_container_history(rng, *queue, queue_methods, legal,
-                                   truncate),
-          threads);
-    }
+  for (int round = 0; round < 8; ++round) {
+    const bool legal = round / 2 % 2 == 0;
+    const bool truncate = round >= 4;
+    expect_checkers_match_oracle(
+        stack, random_container_history(rng, *stack, stack_methods, legal,
+                                         truncate));
+    expect_checkers_match_oracle(
+        queue, random_container_history(rng, *queue, queue_methods, legal,
+                                         truncate));
   }
 }
 
@@ -195,7 +176,7 @@ TEST_P(LinEngineSeeds, PendingInvocations) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LinEngineSeeds, ::testing::Range(0u, 10u));
 
 // ---------------------------------------------------------------------------
-// IntervalLinChecker across the full engine grid.
+// IntervalLinChecker in both dedup modes.
 
 void expect_interval_grid_equivalent(
     const IntervalSpec& spec, const History& h,
@@ -203,35 +184,29 @@ void expect_interval_grid_equivalent(
   const std::vector<OpRecord> recs = h.operations();
   std::optional<bool> verdict;
   for (bool exact : {false, true}) {
-    for (std::size_t threads : kThreadGrid) {
-      IntervalCheckOptions opts;
-      opts.threads = threads;
-      opts.exact_visited = exact;
-      IntervalLinChecker checker(spec, opts);
-      IntervalCheckResult r = checker.check(h);
-      if (!verdict) {
-        verdict = r.ok;
-      } else {
-        ASSERT_EQ(r.ok, *verdict) << "exact=" << exact
-                                  << " threads=" << threads
-                                  << " diverged on\n"
-                                  << h.to_string();
-      }
-      if (r.ok) {
-        ASSERT_TRUE(r.intervals.has_value());
-        ASSERT_EQ(r.intervals->size(), recs.size());
-        // Intervals must be well-formed and respect the real-time order.
-        for (std::size_t i = 0; i < recs.size(); ++i) {
-          if (recs[i].is_pending()) continue;
-          EXPECT_LE((*r.intervals)[i].first, (*r.intervals)[i].second);
-          for (std::size_t j = 0; j < recs.size(); ++j) {
-            if (recs[j].is_pending() || !History::precedes(recs[i], recs[j]))
-              continue;
-            EXPECT_LT((*r.intervals)[i].second, (*r.intervals)[j].first)
-                << "real-time order violated, exact=" << exact
-                << " threads=" << threads << "\n"
-                << h.to_string();
-          }
+    IntervalCheckOptions opts;
+    opts.exact_visited = exact;
+    IntervalLinChecker checker(spec, opts);
+    IntervalCheckResult r = checker.check(h);
+    if (!verdict) {
+      verdict = r.ok;
+    } else {
+      ASSERT_EQ(r.ok, *verdict) << "exact=" << exact << " diverged on\n"
+                                << h.to_string();
+    }
+    if (r.ok) {
+      ASSERT_TRUE(r.intervals.has_value());
+      ASSERT_EQ(r.intervals->size(), recs.size());
+      // Intervals must be well-formed and respect the real-time order.
+      for (std::size_t i = 0; i < recs.size(); ++i) {
+        if (recs[i].is_pending()) continue;
+        EXPECT_LE((*r.intervals)[i].first, (*r.intervals)[i].second);
+        for (std::size_t j = 0; j < recs.size(); ++j) {
+          if (recs[j].is_pending() || !History::precedes(recs[i], recs[j]))
+            continue;
+          EXPECT_LT((*r.intervals)[i].second, (*r.intervals)[j].first)
+              << "real-time order violated, exact=" << exact << "\n"
+              << h.to_string();
         }
       }
     }
@@ -284,7 +259,7 @@ TEST(IntervalEngineEquivalence, SyncQueueScenarios) {
 
 TEST(IntervalEngineEquivalence, TimeoutLadders) {
   // Sequences of timed-out puts/takes with varying overlap: bigger state
-  // spaces so the parallel driver actually forks.
+  // spaces than the hand-picked scenarios.
   SyncQueueIntervalSpec spec(kQ);
   for (std::size_t width : {2u, 3u, 4u}) {
     HistoryBuilder b;

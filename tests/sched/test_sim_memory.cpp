@@ -211,9 +211,8 @@ TEST(TsoEquivalence, ExchangerHistorySetExactUnderTso) {
     Explorer ex(cfg, one_exchanger(), enumerate);
     sc = ex.run();
   }
-  ExploreOptions tso = enumerate;
-  tso.memory_model = MemoryModel::kTso;
-  Explorer ex(cfg, one_exchanger(), tso);
+  cfg.memory_model = MemoryModel::kTso;
+  Explorer ex(cfg, one_exchanger(), enumerate);
   ExploreResult r = ex.run();
 
   EXPECT_TRUE(sc.ok());
@@ -236,6 +235,7 @@ TEST(TsoEquivalence, VerdictsMatchScAcrossThreadsAndReductions) {
     Explorer ex(cfg, one_exchanger());
     sc = ex.run();
   }
+  cfg.memory_model = MemoryModel::kTso;
   for (std::size_t threads : {1u, 2u, 8u}) {
     for (bool por : {false, true}) {
       for (bool symmetry : {false, true}) {
@@ -243,7 +243,6 @@ TEST(TsoEquivalence, VerdictsMatchScAcrossThreadsAndReductions) {
         opts.threads = threads;
         opts.por = por;
         opts.symmetry = symmetry;
-        opts.memory_model = MemoryModel::kTso;
         Explorer ex(cfg, one_exchanger(), opts);
         ExploreResult r = ex.run();
         SCOPED_TRACE("threads=" + std::to_string(threads) +
@@ -257,29 +256,6 @@ TEST(TsoEquivalence, VerdictsMatchScAcrossThreadsAndReductions) {
       }
     }
   }
-}
-
-// Both selection surfaces reach the same machine: a TSO WorldConfig with
-// default options explores identically to SC options + kTso override.
-TEST(TsoEquivalence, ConfigLevelSelectionMatchesOptionsLevel) {
-  ExchangerSpec spec(Symbol{"E"}, Symbol{"exchange"});
-  WorldConfig via_cfg = exchanger_config(&spec, 2);
-  via_cfg.memory_model = MemoryModel::kTso;
-  ExploreResult a;
-  {
-    Explorer ex(via_cfg, one_exchanger());
-    a = ex.run();
-  }
-  WorldConfig plain = exchanger_config(&spec, 2);
-  ExploreOptions opts;
-  opts.memory_model = MemoryModel::kTso;
-  Explorer ex(plain, one_exchanger(), opts);
-  ExploreResult b = ex.run();
-
-  EXPECT_EQ(a.ok(), b.ok());
-  EXPECT_EQ(a.states, b.states);
-  EXPECT_EQ(a.transitions, b.transitions);
-  EXPECT_EQ(a.terminals, b.terminals);
 }
 
 // ------------------------------------------------------------------ //
@@ -383,10 +359,9 @@ TEST(StoreBufferingLitmus, RelaxedStoresRejectedUnderTsoAndReplay) {
   auto seq = std::make_shared<SbSpec>(Symbol{"L"});
   SeqAsCaSpec spec(seq);
   WorldConfig cfg = sb_config(&spec);
-  ExploreOptions opts;
-  opts.memory_model = MemoryModel::kTso;
   Explorer ex(cfg, sb_object(MemOrder::kRelaxed));
-  Explorer tso(cfg, sb_object(MemOrder::kRelaxed), opts);
+  cfg.memory_model = MemoryModel::kTso;
+  Explorer tso(cfg, sb_object(MemOrder::kRelaxed));
   ExploreResult sc = ex.run();
   ExploreResult r = tso.run();
   EXPECT_TRUE(sc.ok());  // the same binary accepts under SC
@@ -405,9 +380,8 @@ TEST(StoreBufferingLitmus, SeqCstStoresPassUnderTso) {
   auto seq = std::make_shared<SbSpec>(Symbol{"L"});
   SeqAsCaSpec spec(seq);
   WorldConfig cfg = sb_config(&spec);
-  ExploreOptions opts;
-  opts.memory_model = MemoryModel::kTso;
-  Explorer ex(cfg, sb_object(MemOrder::kSeqCst), opts);
+  cfg.memory_model = MemoryModel::kTso;
+  Explorer ex(cfg, sb_object(MemOrder::kSeqCst));
   ExploreResult r = ex.run();
   EXPECT_TRUE(r.ok());
   // seq_cst stores drain in place: no buffering, no flush transitions.
@@ -421,8 +395,8 @@ TEST(StoreBufferingLitmus, SeqCstStoresPassUnderTso) {
 TEST(StoreBufferingLitmus, FlushTransitionsDrainEveryTerminal) {
   WorldConfig cfg = sb_config(nullptr);
   cfg.record_history = true;
+  cfg.memory_model = MemoryModel::kTso;
   ExploreOptions opts;
-  opts.memory_model = MemoryModel::kTso;
   opts.collect_terminals = true;
   Explorer ex(cfg, sb_object(MemOrder::kRelaxed), opts);
   ExploreResult r = ex.run();
@@ -432,6 +406,23 @@ TEST(StoreBufferingLitmus, FlushTransitionsDrainEveryTerminal) {
   EXPECT_EQ(r.buffered_max, 2u);  // both threads' stores pending at once
 }
 
+// The WorldConfig is the one surface that selects TSO, and the explorer
+// runs on its own copy of it: a TSO config that is gone before run()
+// still explores the TSO machine and rejects the relaxed litmus.
+TEST(StoreBufferingLitmus, TsoConfigOutlivesTheCallersCopy) {
+  auto seq = std::make_shared<SbSpec>(Symbol{"L"});
+  SeqAsCaSpec spec(seq);
+  std::unique_ptr<Explorer> ex;
+  {
+    WorldConfig cfg = sb_config(&spec);
+    cfg.memory_model = MemoryModel::kTso;
+    ex = std::make_unique<Explorer>(cfg, sb_object(MemOrder::kRelaxed));
+  }
+  ExploreResult r = ex->run();
+  EXPECT_FALSE(r.ok());
+  EXPECT_GT(r.buffered_max, 0u);
+}
+
 // The parallel driver explores the same TSO machine: same verdict as the
 // sequential one on the rejecting litmus, via the phase-1 split and
 // walker flush paths.
@@ -439,8 +430,8 @@ TEST(StoreBufferingLitmus, ParallelDriverRejectsUnderTso) {
   auto seq = std::make_shared<SbSpec>(Symbol{"L"});
   SeqAsCaSpec spec(seq);
   WorldConfig cfg = sb_config(&spec);
+  cfg.memory_model = MemoryModel::kTso;
   ExploreOptions opts;
-  opts.memory_model = MemoryModel::kTso;
   opts.threads = 8;
   Explorer ex(cfg, sb_object(MemOrder::kRelaxed), opts);
   ExploreResult r = ex.run();
@@ -457,10 +448,10 @@ TEST(StoreBufferingLitmus, ReductionsPreserveTheTsoVerdict) {
   auto seq = std::make_shared<SbSpec>(Symbol{"L"});
   SeqAsCaSpec spec(seq);
   WorldConfig cfg = sb_config(&spec);
+  cfg.memory_model = MemoryModel::kTso;
   for (bool por : {false, true}) {
     for (bool symmetry : {false, true}) {
       ExploreOptions opts;
-      opts.memory_model = MemoryModel::kTso;
       opts.por = por;
       opts.symmetry = symmetry;
       Explorer ex(cfg, sb_object(MemOrder::kRelaxed), opts);

@@ -13,9 +13,8 @@
 // exit code is the worst per-file code.
 //
 // Flags:
-//   --jobs N          check files concurrently on N pool workers (0 = #cores)
-//   --threads N       worker threads *inside* each CAL check
-//                     (CalCheckOptions::threads; 0 = #cores, default 1)
+//   --jobs N          check files concurrently on N pool workers (0 = #cores);
+//                     each check itself runs on one thread
 //   --exact-visited   dedup visited search nodes by full stored keys
 //                     instead of 128-bit fingerprints (CalCheckOptions::
 //                     exact_visited): more memory, zero false-prune risk
@@ -80,8 +79,7 @@ struct Options {
   std::string checker = "cal";
   std::vector<std::string> files;  // empty = stdin
   bool quiet = false;
-  std::size_t jobs = 1;     // files checked concurrently (0 = #cores)
-  std::size_t threads = 1;  // CalCheckOptions::threads per check
+  std::size_t jobs = 1;  // files checked concurrently (0 = #cores)
   bool exact_visited = false;  // CalCheckOptions::exact_visited
   bool symmetry = false;       // CalCheckOptions::symmetry
   bool order_check = true;     // CalCheckOptions::order_check
@@ -93,7 +91,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --spec KIND:OBJ[:METHOD] [--checker cal|lin|set-lin]\n"
-      "          [--quiet] [--jobs N] [--threads N] [--exact-visited]\n"
+      "          [--quiet] [--jobs N] [--exact-visited]\n"
       "          [--symmetry] [--no-order-check] [--follow [--window N]]\n"
       "          [FILE...]\n"
       "spec kinds: exchanger sync-queue snapshot stack central-stack queue "
@@ -170,7 +168,6 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
 
   if (opt.checker == "cal") {
     CalCheckOptions copts;
-    copts.threads = opt.threads;
     copts.exact_visited = opt.exact_visited;
     copts.symmetry = opt.symmetry;
     copts.order_check = opt.order_check;
@@ -256,7 +253,6 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
 int run_follow(const Options& opt, const SpecBundle& spec, std::istream& in) {
   engine::IncrementalOptions iopts;
   iopts.window = opt.window == 0 ? 16 : opt.window;
-  iopts.threads = opt.threads;
   iopts.exact_visited = opt.exact_visited;
   engine::IncrementalChecker checker(*spec.ca, iopts);
 
@@ -401,8 +397,6 @@ int main(int argc, char** argv) {
       opt.quiet = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
       opt.jobs = parse_count("--jobs", argv[++i]);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = parse_count("--threads", argv[++i]);
     } else if (arg == "--exact-visited") {
       opt.exact_visited = true;
     } else if (arg == "--symmetry") {

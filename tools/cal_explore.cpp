@@ -316,6 +316,7 @@ Setup make_sb(objects::MemOrder store_order) {
 int main(int argc, char** argv) {
   std::string machine = "exchanger";
   ExploreOptions opts;
+  MemoryModel memory_model = MemoryModel::kSc;
   bool recycle = false;
   auto policy = runtime::ReclaimPolicy::kEbr;
   unsigned tag_bits = 16;
@@ -342,9 +343,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--memory-model" && i + 1 < argc) {
       const std::string model = argv[++i];
       if (model == "sc") {
-        opts.memory_model = MemoryModel::kSc;
+        memory_model = MemoryModel::kSc;
       } else if (model == "tso") {
-        opts.memory_model = MemoryModel::kTso;
+        memory_model = MemoryModel::kTso;
       } else {
         std::fprintf(stderr, "unknown memory model '%s'\n", model.c_str());
         return usage(argv[0]);
@@ -381,13 +382,14 @@ int main(int argc, char** argv) {
   s.cfg.recycle_addresses = recycle;
   s.cfg.reclaim_policy = policy;
   s.cfg.tag_bits = tag_bits;
+  s.cfg.memory_model = memory_model;
 
   Explorer explorer(s.cfg, std::move(s.objects), opts);
   const ExploreResult r = explorer.run();
 
   std::printf("machine: %s\n", machine.c_str());
   std::printf("memory model: %s\n",
-              opts.memory_model == MemoryModel::kTso ? "tso" : "sc");
+              memory_model == MemoryModel::kTso ? "tso" : "sc");
   std::printf("states: %zu, transitions: %zu, merged: %zu, terminals: %zu, "
               "max depth: %zu\n",
               r.states, r.transitions, r.merged, r.terminals, r.max_depth);
